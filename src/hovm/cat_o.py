@@ -17,11 +17,6 @@ from .weights import HighestWeight
 from .weightsets import HovmSpec
 
 
-def _require_sl2n(gcm):
-    if any(gcm.a[i][j] != 0 for i in range(gcm.n) for j in range(gcm.n) if i != j):
-        raise ValueError("category-O block data requires sl2^n")
-
-
 class Block:
     __slots__ = ("gcm", "n", "lam", "lam_tilde", "k_star")
 
@@ -65,7 +60,8 @@ class Block:
 def build_block(lam):
     """Block of lambda: K* = nodes with m_i in Z\\{0}, lambda~ its dominant
     conjugate under the dot action of W_{K*}."""
-    _require_sl2n(lam.gcm)
+    if not lam.gcm.is_sl2n:
+        raise ValueError("category-O block data requires sl2^n")
     k_star = frozenset(
         i
         for i in lam.gcm.nodes

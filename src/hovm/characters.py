@@ -2,12 +2,15 @@
 
 A FormalCharacter is exact on all heights <= its cutoff: a sparse map
 depth-vector -> integer multiplicity with zero values dropped.  The one
-computational engine is the Kostant partition function; Verma, parabolic
-Verma and finite-dimensional simple characters are alternating sums of
-its shifts over a parabolic Weyl group.
+computational engine is a dense table of the Kostant partition function,
+ch M(0), kept per GCM; Verma, parabolic Verma and finite-dimensional
+simple characters, and the Euler characters of the resolutions, are
+signed sums of its shifts (shifted_partition_sum).
 """
 
-import threading
+import itertools
+import math
+import operator
 
 from . import rootdata, weyl
 from .weights import (
@@ -15,13 +18,12 @@ from .weights import (
     NONINT,
     depth_vectors,
     dot_reflect,
-    eval_at,
     height,
     integrability,
 )
 
-_kp_lock = threading.Lock()
-_kp_memo = {}
+# One truncated ch M(0) per GCM, replaced only by a taller one.
+_tables = {}
 
 
 class FormalCharacter:
@@ -81,33 +83,61 @@ class FormalCharacter:
         }
 
 
+def partition_table(gcm, N):
+    """ch M(0) = prod_{beta>0} 1/(1-e^{-beta}) up to height >= N: at depth c,
+    the Kostant partition function of c (Humphreys, BGG category O, 1.16).
+
+    Coin change: one pass per positive root over the depth vectors in order
+    of height, the order of the keys too.  Kept per GCM, rebuilt only for a
+    taller N; callers must not mutate it.
+    """
+    table = _tables.get(gcm)
+    if table is not None and table.cutoff >= N:
+        return table
+    N = max(N, 0)
+    vectors = sorted(depth_vectors(gcm.n, N), key=height)
+    counts = dict.fromkeys(vectors, 0)
+    counts[vectors[0]] = 1
+    for beta in rootdata.positive_roots(gcm).positive_roots:
+        for c in vectors:
+            rest = tuple(map(operator.sub, c, beta))
+            if min(rest) >= 0:
+                counts[c] += counts[rest]
+    table = _tables[gcm] = FormalCharacter(N, counts)
+    return table
+
+
 def kostant_partition(gcm, beta):
     """Number of multisets of positive roots summing to beta."""
-    roots = rootdata.positive_roots(gcm).positive_roots
-    return _kp(gcm, roots, tuple(beta), 0)
-
-
-def _kp(gcm, roots, beta, idx):
-    if all(b == 0 for b in beta):
-        return 1
-    if any(b < 0 for b in beta) or idx == len(roots):
+    if any(b < 0 for b in beta):
         return 0
-    key = (gcm, beta, idx)
-    with _kp_lock:
-        hit = _kp_memo.get(key)
-    if hit is not None:
-        return hit
-    r = roots[idx]
-    total, rest = 0, beta
-    while all(b >= 0 for b in rest):
-        total += _kp(gcm, roots, rest, idx + 1)
-        rest = tuple(b - x for b, x in zip(rest, r))
-    with _kp_lock:
-        _kp_memo[key] = total
-    return total
+    return partition_table(gcm, height(beta)).coeff(beta)
 
 
-def _dot_orbit_terms(lam, J):
+def shifted_partition_sum(gcm, terms, N):
+    """sum over (sign, d) of sign * e^{-d} * ch M(0), truncated at height N.
+
+    Every character here is such a sum: d runs over dot-orbit or
+    resolution weights, which are depth vectors (d >= 0) below lambda.
+    """
+    numerator = {}
+    for sign, d in terms:
+        if height(d) <= N:
+            numerator[d] = numerator.get(d, 0) + sign
+    table = partition_table(gcm, N).coeffs
+    coeffs = {}
+    for d, sign in numerator.items():
+        # every depth vector has a partition, so the table's first
+        # C(room + n, n) keys are exactly those of height <= room
+        room = N - height(d)
+        prefix = itertools.islice(table.items(), math.comb(room + gcm.n, gcm.n))
+        for c, m in prefix:
+            c = tuple(map(operator.add, c, d))
+            coeffs[c] = coeffs.get(c, 0) + sign * m
+    return FormalCharacter(N, coeffs)
+
+
+def dot_orbit_terms(lam, J):
     """(sign, depth of w.lambda) for every w in W_J, via BFS with dot action.
 
     Requires integer evaluations on J (e.g. J inside the integrability).
@@ -136,39 +166,38 @@ def _dot_orbit_terms(lam, J):
 
 def verma_char(lam, N):
     """ch M(lambda): coefficient at depth c is the Kostant partition of c."""
-    gcm = lam.gcm
-    coeffs = {}
-    for c in depth_vectors(gcm.n, N):
-        coeffs[c] = kostant_partition(gcm, c)
-    return FormalCharacter(N, coeffs)
+    return shifted_partition_sum(lam.gcm, [(1, tuple([0] * lam.gcm.n))], N)
 
 
 def parabolic_verma_char(lam, J, N):
     """ch M(lambda, J) via the alternating sum over W_J of shifted partitions."""
-    gcm = lam.gcm
     if not frozenset(J) <= integrability(lam):
         raise ValueError("J is not contained in the integrable nodes")
-    terms = _dot_orbit_terms(lam, J)
-    coeffs = {}
-    for c in depth_vectors(gcm.n, N):
-        total = 0
-        for sign, d in terms:
-            shifted = tuple(a - b for a, b in zip(c, d))
-            if all(x >= 0 for x in shifted):
-                total += sign * kostant_partition(gcm, shifted)
-        if total:
-            coeffs[c] = total
-    return FormalCharacter(N, coeffs)
+    return shifted_partition_sum(lam.gcm, dot_orbit_terms(lam, J), N)
 
 
-def _restrict_weight(lam, J):
-    """lambda restricted to the sub-GCM on J; returns (sub_gcm, sub_lam, nodes)."""
+def _on_levi(lam, J, N, levi_char):
+    """levi_char(sub_lam, N) -> {depth: mult}, run on the Levi on J with lambda
+    restricted to it, embedded back into full-rank depth vectors.
+
+    Requires integer evaluations >= 0 on J.
+    """
+    for j in J:
+        ev = lam.evals[j - 1]
+        if not (isinstance(ev, int) and ev >= 0):
+            raise ValueError("lambda is not J-dominant integral")
+    if not J:
+        return FormalCharacter(N, {tuple([0] * lam.gcm.n): 1})
     nodes = sorted(J)
-    sub = rootdata.GCM(
-        [[lam.gcm.a[i - 1][j - 1] for j in nodes] for i in nodes]
-    )
+    sub = rootdata.GCM([[lam.gcm.a[i - 1][j - 1] for j in nodes] for i in nodes])
     sub_lam = HighestWeight(sub, [lam.evals[i - 1] for i in nodes])
-    return sub, sub_lam, nodes
+    coeffs = {}
+    for c_sub, m in levi_char(sub_lam, N).items():
+        c = [0] * lam.gcm.n
+        for pos, i in enumerate(nodes):
+            c[i - 1] = c_sub[pos]
+        coeffs[tuple(c)] = m
+    return FormalCharacter(N, coeffs)
 
 
 def simple_finite_char(lam, J, N):
@@ -177,36 +206,22 @@ def simple_finite_char(lam, J, N):
     Requires integer evaluations >= 0 on J; the result is supported on the
     simple roots of J, embedded back into full-rank depth vectors.
     """
-    for j in J:
-        ev = lam.evals[j - 1]
-        if not (isinstance(ev, int) and ev >= 0):
-            raise ValueError("lambda is not J-dominant integral")
-    if not J:
-        zero = tuple([0] * lam.gcm.n)
-        return FormalCharacter(N, {zero: 1})
-    sub, sub_lam, nodes = _restrict_weight(lam, J)
-    inner = parabolic_verma_char(sub_lam, sub.nodes, N)
-    coeffs = {}
-    for c_sub, m in inner.coeffs.items():
-        c = [0] * lam.gcm.n
-        for pos, i in enumerate(nodes):
-            c[i - 1] = c_sub[pos]
-        coeffs[tuple(c)] = m
-    return FormalCharacter(N, coeffs)
+
+    def levi_char(sub_lam, N):
+        return parabolic_verma_char(sub_lam, sub_lam.gcm.nodes, N).coeffs
+
+    return _on_levi(lam, J, N, levi_char)
 
 
 def freudenthal_char(lam, J, N):
     """Test oracle: ch L_J^max(lambda) by Freudenthal's recursion on the Levi."""
+    return _on_levi(lam, J, N, _freudenthal)
+
+
+def _freudenthal(sub_lam, N):
     from fractions import Fraction
 
-    for j in J:
-        ev = lam.evals[j - 1]
-        if not (isinstance(ev, int) and ev >= 0):
-            raise ValueError("lambda is not J-dominant integral")
-    if not J:
-        zero = tuple([0] * lam.gcm.n)
-        return FormalCharacter(N, {zero: 1})
-    sub, sub_lam, nodes = _restrict_weight(lam, J)
+    sub = sub_lam.gcm
     roots = rootdata.positive_roots(sub).positive_roots
     n = sub.n
     # symmetrizer d: d_i a_ij symmetric, solved along the Dynkin graph
@@ -258,10 +273,4 @@ def freudenthal_char(lam, J, N):
             val = acc / denom
             assert val.denominator == 1 and val >= 0
             mults[tuple(c)] = int(val)
-    coeffs = {}
-    for c_sub, m in mults.items():
-        c = [0] * lam.gcm.n
-        for pos, i in enumerate(nodes):
-            c[i - 1] = c_sub[pos]
-        coeffs[tuple(c)] = m
-    return FormalCharacter(N, coeffs)
+    return mults

@@ -99,7 +99,7 @@ def _spec_of(payload):
 
 def _height_of(args, payload):
     N = args.height if args.height is not None else payload.get("N", HEIGHT_DEFAULT)
-    if not isinstance(N, int) or N < 0:
+    if type(N) is not int or N < 0:  # JSON true is a Python int
         raise ValidationError("height must be a nonnegative integer")
     if N > HEIGHT_CAP and not args.allow_large_height:
         raise ValidationError(
@@ -111,12 +111,6 @@ def _height_of(args, payload):
 
 def _sorted_vectors(vectors):
     return [list(c) for c in sorted(vectors)]
-
-
-def _is_sl2n(gcm):
-    return all(
-        gcm.a[i][j] == 0 for i in range(gcm.n) for j in range(gcm.n) if i != j
-    )
 
 
 def cmd_weights(args):
@@ -132,7 +126,10 @@ def cmd_member(args):
     depth = payload.get("depth")
     if not isinstance(depth, list) or len(depth) != spec.gcm.n:
         raise ValidationError("'depth' must be an array of length n")
-    return {"member": weight_member(spec, tuple(depth))}, 0
+    try:
+        return {"member": weight_member(spec, tuple(depth))}, 0
+    except ValueError as e:
+        raise ValidationError(str(e))
 
 
 def cmd_check(args):
@@ -157,7 +154,7 @@ def cmd_char(args):
     spec = _spec_of(payload)
     N = _height_of(args, payload)
     if args.method in ("union", "inclusion-exclusion"):
-        if not _is_sl2n(spec.gcm):
+        if not spec.gcm.is_sl2n:
             raise ValidationError(
                 "method %r is defined over sl2^n only" % args.method
             )
@@ -233,7 +230,7 @@ def cmd_approx(args):
 
 def _blockholes_of(payload):
     gcm = _gcm_of(payload)
-    if not _is_sl2n(gcm):
+    if not gcm.is_sl2n:
         raise ValidationError("block data is defined over sl2^n only")
     lam = _lam_of(payload, gcm)
     block = build_block(lam)

@@ -14,11 +14,6 @@ from .holes import HoleSet
 from .weights import depth_vectors, eval_at, integrability, lambda_H
 
 
-def _require_sl2n(gcm):
-    if any(gcm.a[i][j] != 0 for i in range(gcm.n) for j in range(gcm.n) if i != j):
-        raise ValueError("the oracle only models sl2^n")
-
-
 class MonomialModule:
     __slots__ = ("gcm", "lam", "generators", "cutoff")
 
@@ -31,7 +26,8 @@ class MonomialModule:
 
 def oracle_module(lam, holeset, N):
     """Monomial model of M(lambda, H): one generator lambda_H per minimal hole."""
-    _require_sl2n(lam.gcm)
+    if not lam.gcm.is_sl2n:
+        raise ValueError("the oracle only models sl2^n")
     gens = [lambda_H(lam, h) for h in holeset.min_holes]
     return MonomialModule(lam.gcm, lam, gens, N)
 
@@ -74,7 +70,8 @@ def oracle_holes(mod):
 
 def oracle_simple_char(lam, N):
     """ch L(lambda) over sl2^n: a product of strings and rays per coordinate."""
-    _require_sl2n(lam.gcm)
+    if not lam.gcm.is_sl2n:
+        raise ValueError("the oracle only models sl2^n")
     ranges = []
     for ev in lam.evals:
         if isinstance(ev, int) and ev >= 0:

@@ -11,8 +11,8 @@ sign together with the exponent vector of its monomial factor.
 import itertools
 
 from . import rootdata
-from .characters import FormalCharacter, kostant_partition
-from .weights import depth_vectors, dot_reflect, lambda_H
+from .characters import shifted_partition_sum
+from .weights import dot_reflect, lambda_H
 from .weightsets import HovmSpec, weight_set
 from .weyl import order_of_hole_product
 
@@ -153,18 +153,8 @@ def verify_complex(res):
 
 def euler_char(res, N):
     """Alternating sum of shifted Verma characters over the levels."""
-    gcm = res.gcm
-    entries = [((-1) ** t, w) for t, J, w in res.entries()]
-    coeffs = {}
-    for c in depth_vectors(gcm.n, N):
-        total = 0
-        for sign, w in entries:
-            shifted = tuple(a - b for a, b in zip(c, w))
-            if all(x >= 0 for x in shifted):
-                total += sign * kostant_partition(gcm, shifted)
-        if total:
-            coeffs[c] = total
-    return FormalCharacter(N, coeffs)
+    terms = [((-1) ** t, w) for t, J, w in res.entries()]
+    return shifted_partition_sum(res.gcm, terms, N)
 
 
 def wcf_terms(lam, holeset, setting):
@@ -248,24 +238,15 @@ def dihedral_candidate(lam, H1, H2, N):
         levels[t] = [(tag, w) for tag, w in levels[t]]
     levels[m] = [("top", w1[m - 1])]
 
-    coeffs = {}
-    for c in depth_vectors(gcm.n, N):
-        total = 0
-        for t, entries in levels.items():
-            for _, w in entries:
-                shifted = tuple(a - b for a, b in zip(c, w))
-                if all(x >= 0 for x in shifted):
-                    total += (-1) ** t * kostant_partition(gcm, shifted)
-        if total:
-            coeffs[c] = total
-    char = FormalCharacter(N, coeffs)
+    terms = [((-1) ** t, w) for t, entries in levels.items() for _, w in entries]
+    char = shifted_partition_sum(gcm, terms, N)
     graph = rootdata.DynkinGraph(gcm)
     from .holes import minimalize
     from .weights import integrability
 
     spec = HovmSpec(lam, minimalize(graph, integrability(lam), [H1, H2]))
     expected = weight_set(spec, N)
-    nonneg = all(v >= 0 for v in coeffs.values())
+    nonneg = all(v >= 0 for v in char.coeffs.values())
     support_ok = char.support() == expected
     report = {
         "order": m,

@@ -54,6 +54,12 @@ class GCM:
     def finite_type(self):
         return _finite_type(self)
 
+    @property
+    def is_sl2n(self):
+        """No two nodes are joined: the algebra is sl2 x ... x sl2."""
+        n = self.n
+        return not any(self.a[i][j] for i in range(n) for j in range(n) if i != j)
+
 
 class DynkinGraph:
     """Adjacency structure derived from a GCM."""
@@ -111,12 +117,6 @@ class RootSystem:
 
 
 _LETTER = re.compile(r"([A-G])(\d+)(?:\^(\d+))?$")
-
-_def_entries = {
-    # (letter, rank) -> list of (i, j, aij, aji) deviations from simply-laced;
-    # handled procedurally below instead.
-}
-
 
 def _cartan_block(letter, rank):
     if rank < 1:
@@ -231,8 +231,10 @@ def _finite_type(gcm):
     return _generate_positive_roots(gcm) is not None
 
 
+@functools.lru_cache(maxsize=None)
 def positive_roots(gcm):
-    """Complete positive-root data for a finite-type GCM."""
+    """Complete positive-root data for a finite-type GCM; cached, so every
+    caller shares the returned RootSystem and must treat it as read-only."""
     roots = _generate_positive_roots(gcm)
     if roots is None:
         raise ValueError("not of finite type")

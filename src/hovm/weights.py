@@ -7,6 +7,7 @@ below lambda is encoded by its depth vector c (nonnegative integers).
 """
 
 import itertools
+import operator
 
 
 class _NonIntegral:
@@ -46,11 +47,22 @@ def is_nonneg_int(ev):
     return isinstance(ev, int) and ev >= 0
 
 
+def _evaluation(e):
+    """An evaluation as stored: a non-bool int, or NONINT for "x"."""
+    if e is NONINT or e == "x":
+        return NONINT
+    if type(e) is not int:  # rejects bool and float instead of coercing
+        raise ValueError('evaluation %r is neither an integer nor "x"' % (e,))
+    return e
+
+
 class HighestWeight:
     __slots__ = ("gcm", "evals")
 
     def __init__(self, gcm, evals):
-        evals = tuple(NONINT if e == "x" or e is NONINT else int(e) for e in evals)
+        if isinstance(evals, str):
+            raise ValueError("evaluations must be an array, not a string")
+        evals = tuple(_evaluation(e) for e in evals)
         if len(evals) != gcm.n:
             raise ValueError("evaluation vector has wrong length")
         self.gcm = gcm
@@ -151,4 +163,4 @@ def height(c):
 
 
 def add_vectors(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))

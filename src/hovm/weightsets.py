@@ -11,7 +11,12 @@ import itertools
 
 from . import holes as holes_mod
 from . import rootdata
-from .characters import parabolic_verma_char, simple_finite_char
+from .characters import (
+    FormalCharacter,
+    dot_orbit_terms,
+    shifted_partition_sum,
+    simple_finite_char,
+)
 from .holes import HoleSet, minimalize, transversals
 from .weights import (
     HighestWeight,
@@ -73,7 +78,11 @@ def pvm_member(lam, J, c):
 
 
 def weight_member(spec, c):
-    """Transversal-union membership: some minimal hitting set J admits the weight."""
+    """Transversal-union membership: some minimal hitting set J admits the weight.
+
+    c must be n ints, not bools; ValueError otherwise."""
+    if len(c) != spec.gcm.n or any(type(x) is not int for x in c):
+        raise ValueError("depth must be an array of %d integers" % spec.gcm.n)
     if any(x < 0 for x in c):
         return False
     if spec.is_zero():
@@ -214,20 +223,14 @@ def inclusion_exclusion_char(spec, N):
     """Multiplicity-free character over sl2^n by inclusion-exclusion on the
     minimal transversals: ch M(lambda,H) = sum over nonempty S of
     (-1)^{|S|-1} ch M(lambda, union of S)."""
-    gcm = spec.gcm
-    if any(gcm.a[i][j] != 0 for i in range(gcm.n) for j in range(gcm.n) if i != j):
+    if not spec.gcm.is_sl2n:
         raise ValueError("inclusion-exclusion characters require sl2^n")
-    from .characters import FormalCharacter
-
     if spec.is_zero():
         return FormalCharacter(N, {})
-    if not spec.holes.min_holes:
-        return parabolic_verma_char(spec.lam, frozenset(), N)
     ts = spec.min_transversals()
-    total = FormalCharacter(N, {})
+    terms = []
     for size in range(1, len(ts) + 1):
         for S in itertools.combinations(ts, size):
-            union = frozenset().union(*S)
-            term = parabolic_verma_char(spec.lam, union, N)
-            total = total + term if size % 2 == 1 else total - term
-    return total
+            orbit = dot_orbit_terms(spec.lam, frozenset().union(*S))
+            terms += [((-1) ** (size - 1) * sign, d) for sign, d in orbit]
+    return shifted_partition_sum(spec.gcm, terms, N)

@@ -1,14 +1,20 @@
+import collections
+import itertools
+
 import pytest
 
+from hovm import characters
 from hovm.characters import (
     FormalCharacter,
     freudenthal_char,
     kostant_partition,
     parabolic_verma_char,
+    partition_table,
+    shifted_partition_sum,
     simple_finite_char,
     verma_char,
 )
-from hovm.rootdata import parse_gcm
+from hovm.rootdata import parse_gcm, positive_roots
 from hovm.weights import HighestWeight, depth_vectors
 
 A2 = parse_gcm("A2")
@@ -42,6 +48,50 @@ def test_kostant_partition_b2():
     assert kostant_partition(B2, (1, 1)) == 2
     assert kostant_partition(B2, (2, 1)) == 3
     assert kostant_partition(B2, (1, 2)) == 2
+
+
+@pytest.mark.parametrize("name", ["A3", "B2", "C3", "G2"])
+def test_kostant_partition_brute_force(name):
+    # count multisets of positive roots directly; each root has height >= 1,
+    # so a multiset summing to height <= 6 has at most 6 members
+    g = parse_gcm(name)
+    roots = positive_roots(g).positive_roots
+    counts = collections.Counter()
+    for size in range(7):
+        for combo in itertools.combinations_with_replacement(roots, size):
+            counts[tuple(map(sum, zip(*combo))) if combo else (0,) * g.n] += 1
+    for beta in depth_vectors(g.n, 6):
+        assert kostant_partition(g, beta) == counts[beta], beta
+    assert kostant_partition(g, (-1,) + (0,) * (g.n - 1)) == 0
+
+
+def test_partition_table_grows_in_place():
+    g = parse_gcm("C3")
+    characters._tables.pop(g, None)
+    before = set(characters._tables)
+    small = dict(partition_table(g, 4).coeffs)
+    tall = partition_table(g, 8)
+    assert set(characters._tables) == before | {g}
+    assert characters._tables[g] is tall and tall.cutoff == 8
+    assert {c: tall.coeffs[c] for c in small} == small
+    assert partition_table(g, 4) is tall  # a shorter N reuses the taller table
+
+
+def test_shifted_partition_sum():
+    zero = (0, 0)
+    assert shifted_partition_sum(B2, [], 6) == FormalCharacter(6, {})
+    verma = shifted_partition_sum(B2, [(1, zero)], 6)
+    # a shift past the cutoff contributes nothing; equal shifts cancel
+    assert shifted_partition_sum(B2, [(1, zero), (-1, (4, 3))], 6) == verma
+    assert shifted_partition_sum(B2, [(1, (1, 2)), (-1, (1, 2))], 6).coeffs == {}
+    terms = [(1, zero), (-1, (2, 0)), (-1, (0, 1)), (2, (1, 1)), (1, (3, 3))]
+    got = shifted_partition_sum(B2, terms, 6)
+    for c in depth_vectors(2, 6):
+        want = sum(
+            sign * kostant_partition(B2, (c[0] - d[0], c[1] - d[1]))
+            for sign, d in terms
+        )
+        assert got.coeff(c) == want, c
 
 
 def test_verma_char():

@@ -157,6 +157,32 @@ def test_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["weights"], {"algebra": "A1^2", "lambda": [1.5, 0], "holes": [[2]], "N": 6}),
+        (["weights"], {"algebra": "A1^2", "lambda": [True, 0], "holes": [[2]], "N": 6}),
+        (["member"], dict(V00, depth=["a", 1])),
+        (["member"], dict(V00, depth=[1.5, 1])),
+        (["member"], dict(V00, depth=[True, 1])),
+        (["weights"], dict(V00, N=True)),
+        (["weights"], dict(V00, N=2.0)),
+    ],
+)
+def test_malformed_values(capsys, tmp_path, argv, payload):
+    # never coerced, never a traceback: exit 2 with one JSON error
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(payload))
+    code = main(argv + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert list(json.loads(captured.out)) == ["error"]
+    assert captured.err == ""
+
+
 def test_deterministic_output(capsys, tmp_path):
     payload = {"algebra": "A1^3", "lambda": [1, 0, 0], "holes": [[1, 2], [3]], "N": 7}
     _, out1 = run(capsys, ["weights", "--threads", "1"], payload, tmp_path)

@@ -26,6 +26,15 @@ def test_nonint_marker():
     assert lam.evals[1] is NONINT
 
 
+@pytest.mark.parametrize(
+    "evals", [[1.5, 0], [True, 0], [0, False], ["y", 0], [None, 0], [[0], 0], "xx"]
+)
+def test_highest_weight_rejects_non_integers(evals):
+    # no coercion: 1.5 and true are not 1, "xx" is not ["x", "x"]
+    with pytest.raises(ValueError):
+        HighestWeight(A2, evals)
+
+
 def test_integrability():
     assert integrability(HighestWeight(A2, [1, 0])) == {1, 2}
     assert integrability(HighestWeight(A2, [-1, 2])) == {2}

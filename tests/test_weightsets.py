@@ -51,6 +51,9 @@ def test_weight_member_v00():
     assert weight_member(spec, (0, 3))
     assert weight_member(spec, (4, 0))
     assert not weight_member(spec, (-1, 0))
+    for bad in [("a", 1), (1.5, 1), (True, 1), (1,)]:
+        with pytest.raises(ValueError):
+            weight_member(spec, bad)
 
 
 def test_weight_set_v00():
