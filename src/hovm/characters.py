@@ -12,10 +12,9 @@ import itertools
 import math
 import operator
 
-from . import rootdata, weyl
+from . import rootdata
 from .weights import (
     HighestWeight,
-    NONINT,
     depth_vectors,
     dot_reflect,
     height,
@@ -60,15 +59,6 @@ class FormalCharacter:
 
     def __sub__(self, other):
         return self._merge(other, -1)
-
-    def shift_by(self, d):
-        """Multiply by e^{-sum d_i alpha_i}: translate keys, drop past cutoff."""
-        out = {}
-        for c, m in self.coeffs.items():
-            c2 = tuple(a + b for a, b in zip(c, d))
-            if height(c2) <= self.cutoff:
-                out[c2] = m
-        return FormalCharacter(self.cutoff, out)
 
     def is_zero_one(self):
         return all(m in (0, 1) for m in self.coeffs.values())
@@ -137,31 +127,32 @@ def shifted_partition_sum(gcm, terms, N):
     return FormalCharacter(N, coeffs)
 
 
-def dot_orbit_terms(lam, J):
-    """(sign, depth of w.lambda) for every w in W_J, via BFS with dot action.
+def dot_orbit_terms(lam, J, N):
+    """(sign, depth of w.lambda) for the w in W_J with w.lambda of height <= N.
 
-    Requires integer evaluations on J (e.g. J inside the integrability).
+    Requires lambda J-dominant integral.  Then w -> w.lambda is injective and
+    s_j w is longer than w exactly when s_j adds depth at j (Humphreys,
+    Lie algebras, 10.2-10.3), so a BFS over depth vectors that takes only
+    those upward steps reaches w at level l(w), with sign (-1)^l(w).  Height
+    grows along every such step, so dropping heights > N loses no term.
     """
-    gcm = lam.gcm
-    J = tuple(sorted(J))
-    for j in J:
-        if lam.evals[j - 1] is NONINT:
-            raise ValueError("non-integral evaluation inside J")
-    start = tuple([0] * gcm.n)
-    ident = weyl.identity_matrix(gcm.n)
-    seen = {ident: (0, start)}
-    frontier = [(ident, start)]
-    while frontier:
-        nxt = []
-        for w, c in frontier:
+    if not frozenset(J) <= integrability(lam):
+        raise ValueError("lambda is not J-dominant integral")
+    J = sorted(J)
+    level = [tuple([0] * lam.gcm.n)]
+    terms = []
+    sign = 1
+    while level:
+        terms += [(sign, c) for c in level]
+        up = set()
+        for c in level:
             for j in J:
-                w2 = weyl.compose(weyl.simple_reflection(gcm, j), w)
-                if w2 not in seen:
-                    c2 = dot_reflect(lam, c, j)
-                    seen[w2] = (seen[w][0] + 1, c2)
-                    nxt.append((w2, c2))
-        frontier = nxt
-    return [((-1) ** l, c) for l, c in sorted(seen.values())]
+                c2 = dot_reflect(lam, c, j)
+                if c2[j - 1] > c[j - 1] and height(c2) <= N:
+                    up.add(c2)
+        level = sorted(up)
+        sign = -sign
+    return terms
 
 
 def verma_char(lam, N):
@@ -171,9 +162,7 @@ def verma_char(lam, N):
 
 def parabolic_verma_char(lam, J, N):
     """ch M(lambda, J) via the alternating sum over W_J of shifted partitions."""
-    if not frozenset(J) <= integrability(lam):
-        raise ValueError("J is not contained in the integrable nodes")
-    return shifted_partition_sum(lam.gcm, dot_orbit_terms(lam, J), N)
+    return shifted_partition_sum(lam.gcm, dot_orbit_terms(lam, J, N), N)
 
 
 def _on_levi(lam, J, N, levi_char):
@@ -182,14 +171,12 @@ def _on_levi(lam, J, N, levi_char):
 
     Requires integer evaluations >= 0 on J.
     """
-    for j in J:
-        ev = lam.evals[j - 1]
-        if not (isinstance(ev, int) and ev >= 0):
-            raise ValueError("lambda is not J-dominant integral")
+    if not frozenset(J) <= integrability(lam):
+        raise ValueError("lambda is not J-dominant integral")
     if not J:
         return FormalCharacter(N, {tuple([0] * lam.gcm.n): 1})
     nodes = sorted(J)
-    sub = rootdata.GCM([[lam.gcm.a[i - 1][j - 1] for j in nodes] for i in nodes])
+    sub = rootdata.restrict(lam.gcm, nodes)
     sub_lam = HighestWeight(sub, [lam.evals[i - 1] for i in nodes])
     coeffs = {}
     for c_sub, m in levi_char(sub_lam, N).items():

@@ -1,15 +1,12 @@
 """Command line interface: JSON jobs in, sorted JSON out.
 
 Exit codes: 0 success, 2 validation error, 3 verification mismatch.  All
-output is deterministic for a fixed (input, seed); --threads (or the
-HOVM_THREADS environment variable) is accepted for interface stability
-but never changes results.
+output is deterministic for a fixed (input, seed).
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import rootdata
@@ -75,15 +72,27 @@ def _lam_of(payload, gcm):
         raise ValidationError(str(e))
 
 
-def _holes_of(payload, gcm, lam=None, context=None):
+def _hole_list(payload, gcm):
+    """'holes' as frozensets; every node a non-bool int in 1..n."""
     raw = payload.get("holes", [])
     if not isinstance(raw, list) or any(not isinstance(h, list) for h in raw):
         raise ValidationError("'holes' must be an array of node arrays")
+    for h in raw:
+        for i in h:
+            if type(i) is not int or not 1 <= i <= gcm.n:  # JSON true is an int
+                raise ValidationError(
+                    "hole node %r is not an integer in 1..%d" % (i, gcm.n)
+                )
+    return [frozenset(h) for h in raw]
+
+
+def _holes_of(payload, gcm, lam=None, context=None):
+    holes = _hole_list(payload, gcm)
     graph = rootdata.DynkinGraph(gcm)
     if context is None:
         context = integrability(lam)
     try:
-        return minimalize(graph, context, [frozenset(h) for h in raw])
+        return minimalize(graph, context, holes)
     except ValueError as e:
         raise ValidationError(str(e))
 
@@ -286,13 +295,11 @@ def cmd_kl(args):
 def cmd_order_product(args):
     payload = _load_payload(args)
     gcm = _gcm_of(payload)
-    raw = payload.get("holes", [])
-    if not isinstance(raw, list) or any(not isinstance(h, list) for h in raw):
-        raise ValidationError("'holes' must be an array of node arrays")
+    holes = _hole_list(payload, gcm)
     from .weyl import order_of_hole_product
 
     try:
-        m = order_of_hole_product(gcm, [frozenset(h) for h in raw])
+        m = order_of_hole_product(gcm, holes)
     except ValueError as e:
         raise ValidationError(str(e))
     return {"order": m}, 0
@@ -312,17 +319,10 @@ def build_parser():
         description="Weight sets, characters, resolutions and block data "
         "for higher order Verma modules.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("HOVM_THREADS", "1")),
-        help="worker bound; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def job(name, help_text, **extra):
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    def job(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="read the JSON job from a file, not stdin")
         p.add_argument("--height", type=int, default=None, help="cutoff N")
         p.add_argument(
@@ -351,9 +351,7 @@ def build_parser():
     job("reciprocity", "BGG reciprocity table of a block")
     job("kl", "truncated Kazhdan-Lusztig change-of-basis matrices")
     job("order-product", "order of a product of hole reflections")
-    p = sub.add_parser(
-        "verify", help="seeded randomized oracle suites", parents=[common]
-    )
+    p = sub.add_parser("verify", help="seeded randomized oracle suites")
     p.add_argument(
         "--suite",
         choices=["weights", "chars", "reciprocity", "kl", "resolutions"],

@@ -202,6 +202,12 @@ def parse_gcm(spec):
     return GCM(spec)
 
 
+def restrict(gcm, nodes):
+    """The sub-GCM on `nodes`, renumbered 1..len(nodes) in increasing order."""
+    nodes = sorted(nodes)
+    return GCM([[gcm.a[i - 1][j - 1] for j in nodes] for i in nodes])
+
+
 @functools.lru_cache(maxsize=None)
 def _generate_positive_roots(gcm):
     """Reflection closure of the simple roots; None if the cap is hit."""

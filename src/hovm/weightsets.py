@@ -231,6 +231,6 @@ def inclusion_exclusion_char(spec, N):
     terms = []
     for size in range(1, len(ts) + 1):
         for S in itertools.combinations(ts, size):
-            orbit = dot_orbit_terms(spec.lam, frozenset().union(*S))
+            orbit = dot_orbit_terms(spec.lam, frozenset().union(*S), N)
             terms += [((-1) ** (size - 1) * sign, d) for sign, d in orbit]
     return shifted_partition_sum(spec.gcm, terms, N)

@@ -1,11 +1,11 @@
-"""Finite Weyl groups as integer matrices on the root lattice.
+"""Hole reflections and the parabolic Weyl semigroup.
 
-A Weyl element is the matrix of its action on simple-root coordinates:
-column j holds the image of alpha_j.  Also the parabolic Weyl semigroup
-attached to an ordered list of holes.
+The order of a product of hole reflections comes from Coxeter numbers;
+its cross-check iterates the product as an integer matrix on simple-root
+coordinates (column j holds the image of alpha_j).  Also the parabolic
+Weyl semigroup attached to an ordered list of holes.
 """
 
-import functools
 import math
 
 from . import rootdata
@@ -76,6 +76,8 @@ def order_of_hole_product(gcm, holes, method="lcm_formula"):
     graph = rootdata.DynkinGraph(gcm)
     holes = [frozenset(H) for H in holes]
     for idx, H in enumerate(holes):
+        if not H <= set(gcm.nodes):
+            raise ValueError("hole node outside the node set")
         if not graph.is_independent(H):
             raise ValueError("hole is not independent")
         for H2 in holes[idx + 1:]:
@@ -88,47 +90,8 @@ def order_of_hole_product(gcm, holes, method="lcm_formula"):
         return order(w)
     if method != "lcm_formula":
         raise ValueError("unknown method %r" % method)
-    union = frozenset().union(*holes) if holes else frozenset()
-    if not union:
-        return 1
-    rs = rootdata.positive_roots(gcm)
-    result = 1
-    for comp in graph.components(union):
-        count = sum(
-            1
-            for r in rs.positive_roots
-            if all(r[i - 1] == 0 for i in gcm.nodes if i not in comp)
-        )
-        coxeter = 2 * count // len(comp)
-        result = math.lcm(result, coxeter)
-    return result
-
-
-@functools.lru_cache(maxsize=None)
-def weyl_group(gcm, J):
-    """All elements of W_J as (matrix, length), found by Cayley-graph BFS.
-
-    BFS distance from the identity in the generators {s_j : j in J} is the
-    Coxeter length.
-    """
-    _check_rank(gcm)
-    J = tuple(sorted(J))
-    gens = {j: simple_reflection(gcm, j) for j in J}
-    ident = identity_matrix(gcm.n)
-    seen = {ident: 0}
-    frontier = [ident]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for w in frontier:
-            for j in J:
-                w2 = compose(gens[j], w)
-                if w2 not in seen:
-                    seen[w2] = depth
-                    nxt.append(w2)
-        frontier = nxt
-    return tuple(sorted(seen.items(), key=lambda kv: (kv[1], kv[0])))
+    sub = rootdata.restrict(gcm, frozenset().union(*holes))
+    return math.lcm(*rootdata.positive_roots(sub).coxeter_numbers.values())
 
 
 class SemigroupElement:

@@ -1,11 +1,13 @@
 import collections
 import itertools
+import random
 
 import pytest
 
 from hovm import characters
 from hovm.characters import (
     FormalCharacter,
+    dot_orbit_terms,
     freudenthal_char,
     kostant_partition,
     parabolic_verma_char,
@@ -15,7 +17,7 @@ from hovm.characters import (
     verma_char,
 )
 from hovm.rootdata import parse_gcm, positive_roots
-from hovm.weights import HighestWeight, depth_vectors
+from hovm.weights import HighestWeight, depth_vectors, dot_reflect, height
 
 A2 = parse_gcm("A2")
 B2 = parse_gcm("B2")
@@ -30,9 +32,6 @@ def test_formal_character_algebra():
     assert s.coeff((1, 0)) == 4
     d = a - b
     assert d.coeff((1, 0)) == 0 and (1, 0) not in d.coeffs
-    shifted = a.shift_by((5, 0))
-    assert shifted.coeff((5, 0)) == 1
-    assert shifted.coeff((6, 0)) == 0  # pushed past the cutoff
 
 
 def test_kostant_partition_a2():
@@ -94,6 +93,49 @@ def test_shifted_partition_sum():
         assert got.coeff(c) == want, c
 
 
+def _full_orbit(lam, J, N):
+    """Unpruned reference: BFS over every dot_reflect step, up or down, so
+    the level of w.lambda is the length of w; truncated at N afterwards."""
+    start = tuple([0] * lam.gcm.n)
+    level_of = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for j in J:
+                c2 = dot_reflect(lam, c, j)
+                if c2 not in level_of:
+                    level_of[c2] = level_of[c] + 1
+                    nxt.append(c2)
+        frontier = nxt
+    return [
+        ((-1) ** l, c)
+        for l, c in sorted((l, c) for c, l in level_of.items())
+        if height(c) <= N
+    ]
+
+
+def test_dot_orbit_terms_match_full_orbit():
+    rng = random.Random(6)
+    names = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1^3", "A2xA1",
+             "A4", "B4", "C4", "D4", "F4", "A1^4", "A2xB2"]
+    for _ in range(240):
+        g = parse_gcm(rng.choice(names))
+        lam = HighestWeight(g, [rng.randrange(4) for _ in g.nodes])
+        J = [j for j in g.nodes if rng.random() < 0.7]
+        N = rng.randrange(13)
+        assert dot_orbit_terms(lam, J, N) == _full_orbit(lam, J, N), (g, lam, J, N)
+
+
+def test_dot_orbit_terms_requires_dominant_integral():
+    for evals in ([-1, 0], ["x", 0]):
+        with pytest.raises(ValueError):
+            dot_orbit_terms(HighestWeight(A2, evals), {1, 2}, 4)
+    assert dot_orbit_terms(HighestWeight(A2, [0, "x"]), {1}, 4) == [
+        (1, (0, 0)), (-1, (1, 0))
+    ]
+
+
 def test_verma_char():
     ch = verma_char(HighestWeight(A2, ["x", "x"]), 6)
     for c in depth_vectors(2, 6):
@@ -142,6 +184,13 @@ def test_simple_finite_char_embedding():
 )
 def test_freudenthal_agrees_with_weyl(name, evals, J):
     lam = HighestWeight(parse_gcm(name), evals)
+    assert freudenthal_char(lam, J, 8) == simple_finite_char(lam, J, 8)
+
+
+def test_freudenthal_agrees_with_weyl_e6():
+    # all of W(E6) has 51,840 elements; only the orbit below height 8 is built
+    lam = HighestWeight(parse_gcm("E6"), [0, 1, 0, 0, 1, 0])
+    J = set(lam.gcm.nodes)
     assert freudenthal_char(lam, J, 8) == simple_finite_char(lam, J, 8)
 
 

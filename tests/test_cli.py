@@ -170,6 +170,12 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["member"], dict(V00, depth=[True, 1])),
         (["weights"], dict(V00, N=True)),
         (["weights"], dict(V00, N=2.0)),
+        (["weights"], dict(V00, holes=[[True, 2]])),
+        (["weights"], dict(V00, holes=[[1.0, 2]])),
+        (["weights"], dict(V00, holes=[[[1], 2]])),
+        (["order-product"], {"algebra": "A4", "holes": [[9], [1]]}),
+        (["order-product"], {"algebra": "A4", "holes": [[0], [3]]}),
+        (["order-product"], {"algebra": "A4", "holes": [[True], [3]]}),
     ],
 )
 def test_malformed_values(capsys, tmp_path, argv, payload):
@@ -185,8 +191,8 @@ def test_malformed_values(capsys, tmp_path, argv, payload):
 
 def test_deterministic_output(capsys, tmp_path):
     payload = {"algebra": "A1^3", "lambda": [1, 0, 0], "holes": [[1, 2], [3]], "N": 7}
-    _, out1 = run(capsys, ["weights", "--threads", "1"], payload, tmp_path)
-    _, out2 = run(capsys, ["weights", "--threads", "4"], payload, tmp_path)
+    _, out1 = run(capsys, ["weights"], payload, tmp_path)
+    _, out2 = run(capsys, ["weights"], payload, tmp_path)
     assert out1 == out2
     _, v1 = run(capsys, ["verify", "--suite", "chars", "--trials", "4", "--seed", "9"])
     _, v2 = run(capsys, ["verify", "--suite", "chars", "--trials", "4", "--seed", "9"])

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hovm.characters import dot_orbit_terms
 from hovm.rootdata import DynkinGraph, parse_gcm
 from hovm.weights import HighestWeight, lambda_H
 from hovm.weyl import (
@@ -12,15 +13,19 @@ from hovm.weyl import (
     order_of_hole_product,
     semigroup,
     simple_reflection,
-    weyl_group,
 )
+
+
+def _weyl_orbit(g):
+    # lambda = 0 is regular for the dot action, so its orbit is W itself
+    return dot_orbit_terms(HighestWeight(g, [0] * g.n), g.nodes, 200)
 
 
 @pytest.mark.parametrize(
     "name,size", [("A2", 6), ("B2", 8), ("G2", 12), ("A3", 24), ("A1^3", 8)]
 )
 def test_weyl_group_sizes(name, size):
-    assert len(weyl_group(parse_gcm(name), (1, 2, 3)[: parse_gcm(name).n])) == size
+    assert len(_weyl_orbit(parse_gcm(name))) == size
 
 
 def test_simple_reflection_involution():
@@ -40,9 +45,9 @@ def test_braid_orders():
 
 
 def test_lengths_via_bfs():
-    g = parse_gcm("A2")
-    lengths = sorted(l for _, l in weyl_group(g, (1, 2)))
-    assert lengths == [0, 1, 1, 2, 2, 3]
+    # levels 0, 1, 1, 2, 2, 3: three terms of each sign
+    signs = [sign for sign, _ in _weyl_orbit(parse_gcm("A2"))]
+    assert signs == [1, -1, -1, 1, 1, -1]
 
 
 def test_hole_reflection():
@@ -87,6 +92,11 @@ def test_order_product_validation():
         order_of_hole_product(g, [{1, 2}, {3}])
     with pytest.raises(ValueError):
         order_of_hole_product(g, [{1}, {1, 3}])
+    for bad in ([{9}, {1}], [{0}, {3}]):
+        with pytest.raises(ValueError):
+            order_of_hole_product(g, bad)
+        with pytest.raises(ValueError):
+            order_of_hole_product(g, bad, method="direct")
     assert order_of_hole_product(g, []) == 1
 
 
