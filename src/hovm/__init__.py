@@ -25,7 +25,6 @@ from .weights import (
     HighestWeight,
     NONINT,
     depth_vectors,
-    dominant_conjugate_J,
     integrability,
     lambda_H,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "integrability",
     "lambda_H",
     "depth_vectors",
-    "dominant_conjugate_J",
     "FormalCharacter",
     "kostant_partition",
     "verma_char",

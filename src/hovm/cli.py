@@ -1,17 +1,20 @@
 """Command line interface: JSON jobs in, sorted JSON out.
 
-Exit codes: 0 success, 2 validation error, 3 verification mismatch.  All
-output is deterministic for a fixed (input, seed).
+Exit codes: 0 success, 2 validation error (any ValueError or CapExceeded,
+reported as {"error": ...}), 3 verification mismatch, 1 when the reader
+closes stdout before the output is written (a broken pipe, e.g. `| head`).
+All output is deterministic for a fixed (input, seed).
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import rootdata
 from .cat_o import build_block, kl_bases, reciprocity_table, simples_in_block
-from .holes import CapExceeded, ZeroModuleError, minimalize, order_k_truncations
+from .holes import CapExceeded, minimalize, order_k_truncations
 from .resolutions import (
     dihedral_candidate,
     euler_char,
@@ -91,19 +94,13 @@ def _holes_of(payload, gcm, lam=None, context=None):
     graph = rootdata.DynkinGraph(gcm)
     if context is None:
         context = integrability(lam)
-    try:
-        return minimalize(graph, context, holes)
-    except ValueError as e:
-        raise ValidationError(str(e))
+    return minimalize(graph, context, holes)
 
 
 def _spec_of(payload):
     gcm = _gcm_of(payload)
     lam = _lam_of(payload, gcm)
-    try:
-        return HovmSpec(lam, _holes_of(payload, gcm, lam))
-    except ValueError as e:
-        raise ValidationError(str(e))
+    return HovmSpec(lam, _holes_of(payload, gcm, lam))
 
 
 def _height_of(args, payload):
@@ -135,10 +132,7 @@ def cmd_member(args):
     depth = payload.get("depth")
     if not isinstance(depth, list) or len(depth) != spec.gcm.n:
         raise ValidationError("'depth' must be an array of length n")
-    try:
-        return {"member": weight_member(spec, tuple(depth))}, 0
-    except ValueError as e:
-        raise ValidationError(str(e))
+    return {"member": weight_member(spec, tuple(depth))}, 0
 
 
 def cmd_check(args):
@@ -175,11 +169,7 @@ def cmd_char(args):
             char = inclusion_exclusion_char(spec, N)
     else:
         build = koszul_resolution if args.method == "koszul" else taylor_resolution
-        try:
-            res = build(spec.lam, spec.holes)
-        except ValueError as e:
-            raise ValidationError(str(e))
-        char = euler_char(res, N)
+        char = euler_char(build(spec.lam, spec.holes), N)
     return {"method": args.method, "char": char.to_json()}, 0
 
 
@@ -191,10 +181,7 @@ def cmd_resolution(args):
         hs = spec.holes.min_holes
         if len(hs) != 2:
             raise ValidationError("the dihedral setting needs exactly two holes")
-        try:
-            levels, char, report = dihedral_candidate(spec.lam, hs[0], hs[1], N)
-        except ValueError as e:
-            raise ValidationError(str(e))
+        levels, char, report = dihedral_candidate(spec.lam, hs[0], hs[1], N)
         return {
             "setting": "dihedral",
             "levels": [
@@ -205,10 +192,7 @@ def cmd_resolution(args):
             "report": report,
         }, 0
     build = koszul_resolution if args.setting == "koszul" else taylor_resolution
-    try:
-        res = build(spec.lam, spec.holes)
-    except ValueError as e:
-        raise ValidationError(str(e))
+    res = build(spec.lam, spec.holes)
     char = euler_char(res, N)
     report = {
         "d_squared_zero": verify_complex(res),
@@ -298,18 +282,11 @@ def cmd_order_product(args):
     holes = _hole_list(payload, gcm)
     from .weyl import order_of_hole_product
 
-    try:
-        m = order_of_hole_product(gcm, holes)
-    except ValueError as e:
-        raise ValidationError(str(e))
-    return {"order": m}, 0
+    return {"order": order_of_hole_product(gcm, holes)}, 0
 
 
 def cmd_verify(args):
-    try:
-        report = run_suite(args.suite, args.seed, args.trials)
-    except ValueError as e:
-        raise ValidationError(str(e))
+    report = run_suite(args.suite, args.seed, args.trials)
     return report, 0 if report["status"] == "ok" else 3
 
 
@@ -381,10 +358,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result, code = _DISPATCH[args.command](args)
-    except (ValidationError, ZeroModuleError, CapExceeded) as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True))
-        return 2
-    print(json.dumps(result, sort_keys=True, indent=2))
+        indent = 2
+    except (ValueError, CapExceeded) as e:
+        result, code, indent = {"error": str(e)}, 2, None
+    try:
+        print(json.dumps(result, sort_keys=True, indent=indent))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -88,24 +88,20 @@ def oracle_simple_char(lam, N):
 def oracle_jh(mod):
     """Jordan-Hoelder data by triangular peeling of maximal weights.
 
-    Repeatedly pick the lexicographically smallest coordinatewise-minimal
-    depth vector with a positive remaining coefficient, record the simple
-    with that highest weight, and subtract its character.  Exact as long as
-    the cutoff separates the block (all sl2^n weight spaces are lines).
+    Repeatedly pick the depth vector of least height (ties broken
+    lexicographically) with a positive remaining coefficient, record the
+    simple with that highest weight, and subtract its character.  A vector
+    of least height is coordinatewise minimal, so each pick is one linear
+    scan, and each peel removes at least the pick: at most |weights| peels.
+    Exact as long as the cutoff separates the block (all sl2^n weight
+    spaces are lines).
     """
     lam = mod.lam
     N = mod.cutoff
-    remaining = dict.fromkeys(sorted(oracle_weights(mod)), 1)
+    remaining = dict.fromkeys(oracle_weights(mod), 1)
     factors = []
     while remaining:
-        minimal = [
-            c
-            for c in remaining
-            if not any(
-                all(a <= b for a, b in zip(d, c)) and d != c for d in remaining
-            )
-        ]
-        top = min(minimal)
+        top = min(remaining, key=lambda c: (sum(c), c))
         mult = remaining[top]
         assert mult > 0
         mu = lam_below(lam, top)

@@ -144,21 +144,21 @@ def random_blockholes(rng, max_n=3):
     return simples_in_block(block, holes)
 
 
-def _absolute_coeffs(char, base, N):
+def _absolute_coeffs(coeffs, base, N):
+    """Depth -> value, shifted by base into block coordinates, cut at N."""
     out = {}
-    for c, m in char.coeffs.items():
+    for c, m in coeffs.items():
         d = tuple(a + b for a, b in zip(base, c))
         if sum(d) <= N:
             out[d] = m
     return out
 
 
-def _cover_char_abs(bh, K, N):
-    """Oracle character of the cover indexed by K, in block coordinates."""
+def _cover_module(bh, K, N):
+    """Oracle model of the cover indexed by K, and its depth in the block."""
     spec = universal_cover(bh, K)
     base = bh.block.member_depth(K)
-    mod = oracle_module(spec.lam, spec.holes, N - sum(base))
-    return _absolute_coeffs(oracle_char(mod), base, N)
+    return oracle_module(spec.lam, spec.holes, N - sum(base)), base
 
 
 def suite_reciprocity(seed, trials):
@@ -179,13 +179,8 @@ def suite_reciprocity(seed, trials):
         # oracle cross-check: the triangular JH peel of each cover recovers
         # exactly the jh_multiplicity pattern
         for K2 in bh.simple_index:
-            spec = universal_cover(bh, K2)
-            base = block.member_depth(K2)
-            mod = oracle_module(spec.lam, spec.holes, N - sum(base))
-            got = sorted(
-                (tuple(a + b for a, b in zip(base, c)), m)
-                for c, m in oracle_jh(mod)
-            )
+            mod, base = _cover_module(bh, K2, N)
+            got = sorted(_absolute_coeffs(dict(oracle_jh(mod)), base, N).items())
             expected = sorted(
                 (block.member_depth(K), jh_multiplicity(bh, K2, K))
                 for K in bh.simple_index
@@ -230,14 +225,16 @@ def suite_kl(seed, trials):
             mu = kl_weight_of_index(bh, K)
             base = block.member_depth(ks - K)
             lhs = _absolute_coeffs(
-                oracle_simple_char(mu, N - sum(base)), base, N
+                oracle_simple_char(mu, N - sum(base)).coeffs, base, N
             )
             rhs = {}
             for K2 in index:
                 if not K2 <= K:
                     continue
                 sign = (-1) ** (len(K) - len(K2))
-                for c, m in _cover_char_abs(bh, ks - K2, N).items():
+                mod, base2 = _cover_module(bh, ks - K2, N)
+                cover = _absolute_coeffs(oracle_char(mod).coeffs, base2, N)
+                for c, m in cover.items():
                     rhs[c] = rhs.get(c, 0) + sign * m
             rhs = {c: m for c, m in rhs.items() if m}
             if lhs != rhs:

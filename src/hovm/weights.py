@@ -123,39 +123,14 @@ def lambda_H(lam, H, graph=None):
     return tuple(c)
 
 
-def dominant_conjugate_J(lam, c, J):
-    """W_J-dominant representative of mu = lambda - sum c_i alpha_i.
-
-    Linear (not dot) reflections are applied at nodes of J with negative
-    evaluation until none remain.  The result is an integer displacement
-    vector d with mu'' = lambda - sum d_i alpha_i; entries of d on J may
-    be negative (the orbit can leave the cone below lambda), entries off
-    J are untouched.  Callers consume only the J-coordinates.
-    """
-    d = list(c)
-    for j in J:
-        if eval_at(lam, d, j) is NONINT:
-            raise ValueError("non-integral evaluation on J")
-    guard = 0
-    while True:
-        j = next((j for j in sorted(J) if eval_at(lam, d, j) < 0), None)
-        if j is None:
-            return tuple(d)
-        d[j - 1] += eval_at(lam, d, j)
-        guard += 1
-        assert guard < 10**7, "reflection loop did not terminate; J not finite type?"
-
-
 def depth_vectors(n, max_height):
-    """All c in Z>=0^n with sum(c) <= max_height, in lexicographic order."""
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + [v], remaining - v, slots - 1)
+    """All c in Z>=0^n with sum(c) <= max_height, in lexicographic order.
 
-    yield from rec([], max_height, n)
+    The difference sequences of the nondecreasing n-tuples in
+    0..max_height, which combinations_with_replacement yields in
+    lexicographic order; taking differences keeps that order."""
+    for s in itertools.combinations_with_replacement(range(max_height + 1), n):
+        yield tuple(map(operator.sub, s, (0,) + s[:-1]))
 
 
 def height(c):

@@ -22,9 +22,10 @@ from .weights import (
     HighestWeight,
     add_vectors,
     depth_vectors,
-    dominant_conjugate_J,
+    eval_at,
     height,
     integrability,
+    is_nonneg_int,
     lambda_H,
 )
 
@@ -64,17 +65,37 @@ def spec_from_sets(lam, sets):
 def pvm_member(lam, J, c):
     """Is lambda - sum c_i alpha_i a weight of the parabolic Verma M(lambda,J)?
 
-    Integrable slice test: reflect c linearly into the W_J-dominant chamber;
-    membership holds iff no J-coordinate went negative, i.e. the dominant
-    conjugate stays under nu = lambda - c_{J^c} in the Z>=0 Pi_J order.
+    Slice walk: while some J-evaluation e of the weight is negative, reflect
+    linearly at the first such node j of J.  That adds e < 0 to c_j alone,
+    so J-coordinates only go down (Kac, Prop. 3.12; Humphreys, 10.3), and
+    the evaluations are updated in place.  Membership fails as soon as a
+    J-coordinate goes negative and holds once no J-evaluation is negative.
+    Each step lowers the J-height, so the walk ends within height(c) + 1
+    reflections.  J must lie in the integrable nodes and its Levi must be
+    of finite type (ValueError otherwise): the dominance test is not sound
+    for an infinite W_J.
     """
-    J = frozenset(J)
-    if not J <= integrability(lam):
+    J = sorted(frozenset(J))
+    evals = lam.evals
+    if not all(0 < j <= len(evals) and is_nonneg_int(evals[j - 1]) for j in J):
         raise ValueError("J is not contained in the integrable nodes")
+    if not (lam.gcm.finite_type or rootdata.restrict(lam.gcm, J).finite_type):
+        raise ValueError("the Levi subalgebra on J must be of finite type")
     if any(x < 0 for x in c):
         return False
-    d = dominant_conjugate_J(lam, c, J)
-    return all(d[j - 1] >= 0 for j in J)
+    a = lam.gcm.a
+    d = list(c)
+    ev = {j: eval_at(lam, c, j) for j in J}
+    while True:
+        j = next((j for j in J if ev[j] < 0), None)
+        if j is None:
+            return True
+        e = ev[j]
+        d[j - 1] += e
+        if d[j - 1] < 0:
+            return False
+        for k in J:
+            ev[k] -= a[k - 1][j - 1] * e
 
 
 def weight_member(spec, c):
@@ -101,12 +122,15 @@ def pvm_weight_set(lam, J, N):
 
 
 def _minkowski_sum(A, B, N):
+    """{a + b} cut to height N; B is scanned in height order, up to N - |a|."""
+    B = sorted(B, key=height)
     out = set()
     for a in A:
+        room = N - height(a)
         for b in B:
-            c = add_vectors(a, b)
-            if height(c) <= N:
-                out.add(c)
+            if height(b) > room:
+                break
+            out.add(add_vectors(a, b))
     return out
 
 

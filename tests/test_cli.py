@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hovm.cli import main
+from hovm.rootdata import parse_gcm
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, argv, payload=None, tmp_path=None):
@@ -197,3 +207,139 @@ def test_deterministic_output(capsys, tmp_path):
     _, v1 = run(capsys, ["verify", "--suite", "chars", "--trials", "4", "--seed", "9"])
     _, v2 = run(capsys, ["verify", "--suite", "chars", "--trials", "4", "--seed", "9"])
     assert v1 == v2
+
+
+def _cli_process(argv, payload, stdout=subprocess.PIPE):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "hovm.cli"] + argv,
+        stdin=subprocess.PIPE,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+AFFINE = [[2, -2], [-2, 2]]
+
+
+@pytest.mark.parametrize(
+    "lam,holes", [([0, 0], [[1], [2]]), ([0, 0], [[1]]), ([1, -1], [[1]])]
+)
+@pytest.mark.parametrize(
+    "argv", [["weights"], ["check"], ["member"], ["char", "--method", "koszul"]]
+)
+def test_affine_jobs_exit_cleanly(argv, lam, holes):
+    # A1^(1) is outside finite type: each job answers or exits 2 with one
+    # JSON error, fast and without a traceback (the Levi on J = {1, 2} is
+    # affine, so its slice test is refused rather than answered)
+    payload = {"algebra": AFFINE, "lambda": lam, "holes": holes, "N": 4, "depth": [1, 1]}
+    proc = _cli_process(argv, payload)
+    out, err = proc.communicate(json.dumps(payload), timeout=5)
+    assert proc.returncode in (0, 2), err
+    data = json.loads(out)
+    assert (proc.returncode == 2) == (list(data) == ["error"])
+    assert "Traceback" not in err
+    if lam == [0, 0] and holes == [[1], [2]]:
+        assert proc.returncode == 2  # not the wrong weights of the trivial L(0)
+    if lam == [1, -1] and argv == ["weights"]:
+        assert proc.returncode == 0
+        assert data["weights"] == [
+            [0, 0], [0, 1], [0, 2], [0, 3], [0, 4], [1, 0],
+            [1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [3, 1],
+        ]
+
+
+def test_broken_pipe_exits_quietly():
+    # about 2 MB of output: the reader closes the pipe long before the end
+    payload = {"algebra": "A1^4", "lambda": ["x"] * 4, "holes": [], "N": 30}
+    proc = _cli_process(["weights"], payload)
+    proc.stdin.write(json.dumps(payload))
+    proc.stdin.close()
+    assert proc.stdout.read(150)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 1
+    assert err == ""
+
+
+FUZZ_ALGEBRAS = [
+    "A1", "A1^2", "A1^3", "A2", "B2", AFFINE, [[2, -3], [-3, 2]],
+]
+FUZZ_ARGV = [
+    ["weights"], ["member"], ["check"], ["approx", "--k", "1", "--side", "lower"],
+    ["approx", "--k", "2", "--side", "upper"], ["reciprocity"], ["kl"],
+    ["order-product"],
+] + [["char", "--method", m] for m in ("union", "inclusion-exclusion", "koszul", "taylor")] + [
+    ["resolution", "--setting", s] for s in ("koszul", "taylor", "dihedral")
+]
+_JUNK = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.booleans(),
+    st.sampled_from(["x", "a", "", "1"]),
+    st.none(),
+)
+
+
+@st.composite
+def _fuzz_job(draw):
+    """(argv, payload): a small well-formed job, and in five cases of eight
+    one spike: an entry of lambda, a hole or depth, or N, replaced by a
+    float, bool, string or null, or one key dropped."""
+    algebra = draw(st.sampled_from(FUZZ_ALGEBRAS))
+    n = parse_gcm(algebra).n
+    entries = st.one_of(st.integers(-1, 3), st.just("x"))
+    payload = {
+        "algebra": algebra,
+        "lambda": draw(st.lists(entries, min_size=n, max_size=n)),
+        "holes": draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=2),
+                               max_size=3)),
+        "N": draw(st.integers(0, 4)),
+        "depth": draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+    }
+    target = draw(st.sampled_from(["", "", "", "lambda", "depth", "holes", "N", "drop"]))
+    if target == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif target == "N":
+        payload["N"] = draw(_JUNK)
+    elif target in ("lambda", "depth"):
+        payload[target][draw(st.integers(0, n - 1))] = draw(_JUNK)
+    elif target == "holes" and payload["holes"]:
+        hole = draw(st.sampled_from(payload["holes"]))
+        hole[draw(st.integers(0, len(hole) - 1))] = draw(_JUNK)
+    return draw(st.sampled_from(FUZZ_ARGV)), payload
+
+
+def _run_in_process(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_fuzz_job())
+def test_fuzz_every_subcommand(job):
+    argv, payload = job
+    code, out, err = _run_in_process(argv, json.dumps(payload))
+    assert code in (0, 2, 3), (argv, payload, out, err)
+    json.loads(out)  # exactly one JSON document
+    assert err == ""
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.sampled_from(["weights", "chars", "resolutions", "reciprocity", "kl"]),
+       st.integers(0, 10**6), st.integers(0, 2))
+def test_fuzz_verify(suite, seed, trials):
+    argv = ["verify", "--suite", suite, "--seed", str(seed), "--trials", str(trials)]
+    code, out, err = _run_in_process(argv, "")
+    assert code in (0, 3)
+    assert json.loads(out)["status"] in ("ok", "mismatch")
+    assert err == ""

@@ -7,12 +7,12 @@ from hovm.weights import (
     HighestWeight,
     NONINT,
     depth_vectors,
-    dominant_conjugate_J,
     dot_reflect,
     eval_at,
     integrability,
     lambda_H,
 )
+from hovm.weightsets import pvm_member
 
 A2 = parse_gcm("A2")
 SL22 = parse_gcm("A1^2")
@@ -71,19 +71,42 @@ def test_lambda_H():
 
 
 def test_dominant_conjugate_sl2():
+    # the slice walk of pvm_member: on sl2 the weights of L(2) have c_1 in 0..2
     lam = HighestWeight(SL22, [2, 0])
-    # c = (4, 0): eval at node 1 is 2 - 8 = -6; one reflection lands at d = (-2, 0)
-    d = dominant_conjugate_J(lam, (4, 0), {1})
-    assert d == (-2, 0)
-    assert eval_at(lam, d, 1) >= 0
+    # c = (4, 0): eval at node 1 is 2 - 8 = -6; one reflection lands at
+    # c_1 = -2, so the walk stops there
+    assert not pvm_member(lam, {1}, (4, 0))
+    assert not pvm_member(lam, {1}, (3, 0))
+    assert pvm_member(lam, {1}, (2, 0))  # reflects onto c_1 = 0
     # already dominant
-    assert dominant_conjugate_J(lam, (1, 5), {1}) == (1, 5)
+    assert pvm_member(lam, {1}, (1, 5))
 
 
 def test_dominant_conjugate_off_J_untouched():
+    # J = {1} on A2: the walk moves only c_1; c_2 enters through the
+    # evaluation <nu, alpha_1^vee> = 1 + c_2 of nu = lambda - c_2 alpha_2
     lam = HighestWeight(A2, [1, 1])
-    d = dominant_conjugate_J(lam, (3, 2), {1})
-    assert d[1] == 2
+    assert pvm_member(lam, {1}, (3, 2))
+    assert not pvm_member(lam, {1}, (4, 2))
+    for c in depth_vectors(2, 8):
+        assert pvm_member(lam, {1}, c) == (c[0] <= 1 + c[1])
+
+
+def _depth_vectors_rec(n, N):
+    if n == 0:
+        yield ()
+        return
+    for v in range(N + 1):
+        for rest in _depth_vectors_rec(n - 1, N - v):
+            yield (v,) + rest
+
+
+def test_depth_vectors_match_recursive():
+    for n in range(6):
+        for N in range(-1, 7):
+            assert list(depth_vectors(n, N)) == list(_depth_vectors_rec(n, N)), (n, N)
+    assert list(depth_vectors(0, -1)) == [()]
+    assert list(depth_vectors(3, -1)) == []
 
 
 def test_depth_vectors():

@@ -8,7 +8,7 @@ from hovm.holes import HoleSet
 from hovm.oracle import oracle_module, oracle_weights
 from hovm.rootdata import DynkinGraph, independent_sets, parse_gcm
 from hovm.verify import random_sl2n_spec
-from hovm.weights import HighestWeight, depth_vectors, integrability
+from hovm.weights import HighestWeight, depth_vectors, eval_at, integrability
 from hovm.weightsets import (
     HovmSpec,
     altwts_check,
@@ -43,6 +43,57 @@ def test_pvm_member_sl22():
     assert pvm_member(lam, {1}, (0, 0))
     with pytest.raises(ValueError):
         pvm_member(HighestWeight(SL22, [-1, 0]), {1}, (0, 0))
+
+
+def _unbounded_walk_member(lam, J, c):
+    """The walk pvm_member replaced: reflect at the first node of J with a
+    negative evaluation until none is left, then test the J-coordinates."""
+    if any(x < 0 for x in c):
+        return False
+    d = list(c)
+    while True:
+        j = next((j for j in sorted(J) if eval_at(lam, d, j) < 0), None)
+        if j is None:
+            return all(d[j - 1] >= 0 for j in J)
+        d[j - 1] += eval_at(lam, d, j)
+
+
+PIN_TYPES = [
+    ("A2", 5), ("B2", 5), ("G2", 5), ("A3", 4), ("B3", 4), ("C3", 4),
+    ("D4", 4), ("A1^3", 4), ("E6", 3),
+]
+
+
+def test_pvm_member_matches_unbounded_walk():
+    rng = random.Random(7)
+    answers = {True: 0, False: 0}
+    proper = nonint = 0
+    for name, N in PIN_TYPES:
+        g = parse_gcm(name)
+        vectors = list(depth_vectors(g.n, N))
+        for _ in range(8):
+            evals = [rng.choice([-1, 0, 1, 2, 3, "x"]) for _ in range(g.n)]
+            lam = HighestWeight(g, evals)
+            J_lam = integrability(lam)
+            J = frozenset(j for j in J_lam if rng.random() < 0.6)
+            proper += J < J_lam
+            nonint += "x" in evals
+            for c in vectors:
+                got = pvm_member(lam, J, c)
+                assert got == _unbounded_walk_member(lam, J, c), (name, evals, J, c)
+                answers[got] += 1
+    assert proper >= 30 and nonint >= 20 and min(answers.values()) >= 500
+
+
+def test_pvm_member_levi_must_be_finite():
+    affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
+    with pytest.raises(ValueError, match="finite type"):
+        pvm_member(affine, {1, 2}, (1, 1))
+    # the Levi on {1} is sl2: nu = lambda - alpha_2 has <nu, alpha_1^vee> = 2
+    assert pvm_member(affine, {1}, (2, 1))
+    assert not pvm_member(affine, {1}, (3, 1))
+    with pytest.raises(ValueError, match="integrable"):
+        pvm_member(affine, {3}, (0, 0))
 
 
 def test_weight_member_v00():
