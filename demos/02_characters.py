@@ -9,13 +9,13 @@ Freudenthal's recursion as an independent cross-check.
 
 from hovm import (
     HighestWeight,
-    freudenthal_char,
     kostant_partition,
     parabolic_verma_char,
     parse_gcm,
     simple_finite_char,
     verma_char,
 )
+from hovm.oracle import freudenthal_char
 
 g = parse_gcm("A2")
 print("Kostant partitions in A2:")

@@ -3,7 +3,6 @@ for higher order Verma modules over finite-type Lie algebras and sl2^n."""
 
 from .characters import (
     FormalCharacter,
-    freudenthal_char,
     kostant_partition,
     parabolic_verma_char,
     simple_finite_char,
@@ -61,7 +60,6 @@ __all__ = [
     "verma_char",
     "parabolic_verma_char",
     "simple_finite_char",
-    "freudenthal_char",
     "HoleSet",
     "ZERO",
     "ZeroModuleError",

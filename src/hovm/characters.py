@@ -17,6 +17,7 @@ from .weights import (
     HighestWeight,
     depth_vectors,
     dot_reflect,
+    embed,
     height,
     integrability,
 )
@@ -178,12 +179,10 @@ def _on_levi(lam, J, N, levi_char):
     nodes = sorted(J)
     sub = rootdata.restrict(lam.gcm, nodes)
     sub_lam = HighestWeight(sub, [lam.evals[i - 1] for i in nodes])
-    coeffs = {}
-    for c_sub, m in levi_char(sub_lam, N).items():
-        c = [0] * lam.gcm.n
-        for pos, i in enumerate(nodes):
-            c[i - 1] = c_sub[pos]
-        coeffs[tuple(c)] = m
+    coeffs = {
+        embed(lam.gcm.n, nodes, c_sub): m
+        for c_sub, m in levi_char(sub_lam, N).items()
+    }
     return FormalCharacter(N, coeffs)
 
 
@@ -198,66 +197,3 @@ def simple_finite_char(lam, J, N):
         return parabolic_verma_char(sub_lam, sub_lam.gcm.nodes, N).coeffs
 
     return _on_levi(lam, J, N, levi_char)
-
-
-def freudenthal_char(lam, J, N):
-    """Test oracle: ch L_J^max(lambda) by Freudenthal's recursion on the Levi."""
-    return _on_levi(lam, J, N, _freudenthal)
-
-
-def _freudenthal(sub_lam, N):
-    from fractions import Fraction
-
-    sub = sub_lam.gcm
-    roots = rootdata.positive_roots(sub).positive_roots
-    n = sub.n
-    # symmetrizer d: d_i a_ij symmetric, solved along the Dynkin graph
-    d = [None] * n
-    graph = rootdata.DynkinGraph(sub)
-    for comp in graph.components():
-        seed = min(comp)
-        d[seed - 1] = Fraction(1)
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in graph.neighbours(i):
-                if d[j - 1] is None:
-                    d[j - 1] = d[i - 1] * sub.a[i - 1][j - 1] / sub.a[j - 1][i - 1]
-                    frontier.append(j)
-
-    def bil(u, v):
-        # (sum u_i alpha_i, sum v_j alpha_j), with (alpha_i, alpha_j) = d_i a_ij
-        return sum(
-            u[i] * v[j] * d[i] * sub.a[i][j] for i in range(n) for j in range(n)
-        )
-
-    def mu_eval(c2, i):
-        return sub_lam.evals[i] - sum(sub.a[i][k] * c2[k] for k in range(n))
-
-    mults = {tuple([0] * n): 1}
-    for ht in range(1, N + 1):
-        for c in depth_vectors(n, ht):
-            if sum(c) != ht:
-                continue
-            acc = Fraction(0)
-            for r in roots:
-                t = 1
-                while True:
-                    c2 = tuple(x - t * y for x, y in zip(c, r))
-                    if any(x < 0 for x in c2):
-                        break
-                    m = mults.get(c2, 0)
-                    if m:
-                        # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
-                        val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
-                        acc += 2 * m * val
-                    t += 1
-            # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c)
-            denom = 2 * sum(c[i] * d[i] * (sub_lam.evals[i] + 1) for i in range(n))
-            denom -= bil(c, c)
-            if denom == 0 or acc == 0:
-                continue
-            val = acc / denom
-            assert val.denominator == 1 and val >= 0
-            mults[tuple(c)] = int(val)
-    return mults

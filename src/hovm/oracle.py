@@ -1,15 +1,20 @@
-"""Exact brute-force ground truth over sl2^n.
+"""Exact ground truths that share no engine with the library's formulas.
 
-Every highest weight module over sl2^n is M(lambda, H) and is isomorphic
+Over sl2^n every highest weight module is M(lambda, H) and is isomorphic
 as an n^- module to C[f_1..f_n] modulo the monomial ideal generated by
 the exponent vectors lambda_H of the minimal holes.  Weights are the
-monomials outside the ideal; everything here is plain coordinatewise
+monomials outside the ideal; everything there is plain coordinatewise
 arithmetic.
+
+Over any finite-type Levi: the character of a finite-dimensional simple
+module by Freudenthal's multiplicity recursion (freudenthal_char), a check
+on the alternating Weyl sum of characters.simple_finite_char.
 """
 
 import itertools
 
-from .characters import FormalCharacter
+from . import rootdata
+from .characters import FormalCharacter, _on_levi
 from .holes import HoleSet
 from .weights import depth_vectors, eval_at, integrability, lambda_H
 
@@ -125,3 +130,66 @@ def lam_below(lam, c):
 
     evals = [eval_at(lam, c, j) for j in lam.gcm.nodes]
     return HighestWeight(lam.gcm, evals)
+
+
+def freudenthal_char(lam, J, N):
+    """Test oracle: ch L_J^max(lambda) by Freudenthal's recursion on the Levi."""
+    return _on_levi(lam, J, N, _freudenthal)
+
+
+def _freudenthal(sub_lam, N):
+    from fractions import Fraction
+
+    sub = sub_lam.gcm
+    roots = rootdata.positive_roots(sub).positive_roots
+    n = sub.n
+    # symmetrizer d: d_i a_ij symmetric, solved along the Dynkin graph
+    d = [None] * n
+    graph = rootdata.DynkinGraph(sub)
+    for comp in graph.components():
+        seed = min(comp)
+        d[seed - 1] = Fraction(1)
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in graph.neighbours(i):
+                if d[j - 1] is None:
+                    d[j - 1] = d[i - 1] * sub.a[i - 1][j - 1] / sub.a[j - 1][i - 1]
+                    frontier.append(j)
+
+    def bil(u, v):
+        # (sum u_i alpha_i, sum v_j alpha_j), with (alpha_i, alpha_j) = d_i a_ij
+        return sum(
+            u[i] * v[j] * d[i] * sub.a[i][j] for i in range(n) for j in range(n)
+        )
+
+    def mu_eval(c2, i):
+        return sub_lam.evals[i] - sum(sub.a[i][k] * c2[k] for k in range(n))
+
+    mults = {tuple([0] * n): 1}
+    for ht in range(1, N + 1):
+        for c in depth_vectors(n, ht):
+            if sum(c) != ht:
+                continue
+            acc = Fraction(0)
+            for r in roots:
+                t = 1
+                while True:
+                    c2 = tuple(x - t * y for x, y in zip(c, r))
+                    if any(x < 0 for x in c2):
+                        break
+                    m = mults.get(c2, 0)
+                    if m:
+                        # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
+                        val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
+                        acc += 2 * m * val
+                    t += 1
+            # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c)
+            denom = 2 * sum(c[i] * d[i] * (sub_lam.evals[i] + 1) for i in range(n))
+            denom -= bil(c, c)
+            if denom == 0 or acc == 0:
+                continue
+            val = acc / denom
+            assert val.denominator == 1 and val >= 0
+            mults[tuple(c)] = int(val)
+    return mults

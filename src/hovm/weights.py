@@ -133,6 +133,14 @@ def depth_vectors(n, max_height):
         yield tuple(map(operator.sub, s, (0,) + s[:-1]))
 
 
+def embed(n, nodes, x):
+    """The depth vector of length n with x on `nodes` (1-based), 0 elsewhere."""
+    c = [0] * n
+    for i, xi in zip(nodes, x):
+        c[i - 1] = xi
+    return tuple(c)
+
+
 def height(c):
     return sum(c)
 

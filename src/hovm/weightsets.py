@@ -1,8 +1,8 @@
 """Weight-set formulas for higher order Verma modules M(lambda, H).
 
-Membership-first: every weight set is produced by enumerating depth
-vectors up to a height cutoff and testing membership through the
-hitting-set union of parabolic Verma weight sets.  The Minkowski-sum,
+Generation-first: wt M(lambda, H) is the union over the minimal
+transversals J of wt M(lambda, J), each generated slice by slice as the
+weights of Levi modules L_J(nu) cut to the height cutoff.  The Minkowski-sum,
 admissible-set and category-O reformulations are kept as independent
 code paths so they can be cross-checked against each other.
 """
@@ -22,6 +22,7 @@ from .weights import (
     HighestWeight,
     add_vectors,
     depth_vectors,
+    embed,
     eval_at,
     height,
     integrability,
@@ -62,40 +63,66 @@ def spec_from_sets(lam, sets):
     return HovmSpec(lam, minimalize(graph, integrability(lam), sets))
 
 
-def pvm_member(lam, J, c):
-    """Is lambda - sum c_i alpha_i a weight of the parabolic Verma M(lambda,J)?
-
-    Slice walk: while some J-evaluation e of the weight is negative, reflect
-    linearly at the first such node j of J.  That adds e < 0 to c_j alone,
-    so J-coordinates only go down (Kac, Prop. 3.12; Humphreys, 10.3), and
-    the evaluations are updated in place.  Membership fails as soon as a
-    J-coordinate goes negative and holds once no J-evaluation is negative.
-    Each step lowers the J-height, so the walk ends within height(c) + 1
-    reflections.  J must lie in the integrable nodes and its Levi must be
-    of finite type (ValueError otherwise): the dominance test is not sound
-    for an infinite W_J.
-    """
+def _levi(lam, J):
+    """J sorted, once it lies in the integrable nodes and its Levi is of
+    finite type; ValueError otherwise."""
     J = sorted(frozenset(J))
     evals = lam.evals
     if not all(0 < j <= len(evals) and is_nonneg_int(evals[j - 1]) for j in J):
         raise ValueError("J is not contained in the integrable nodes")
     if not (lam.gcm.finite_type or rootdata.restrict(lam.gcm, J).finite_type):
         raise ValueError("the Levi subalgebra on J must be of finite type")
+    return J
+
+
+def _levi_weights(a, J, nu, room, box):
+    """Depths d over J (ordered as J) of the weights of L_J(nu) with height
+    <= room and d <= box coordinatewise, as a dict to their J-evaluations;
+    nu is given by its own.
+
+    Downward closure under alpha_j-strings: from depth d with evaluation
+    e > 0 at j, add d + t u_j (u_j the unit vector at j) for t = 1..min(e,
+    room - height(d), box_j - d_j).  Exact by two facts: every
+    alpha_j-string of weights is unbroken and as long as the evaluation at
+    its top (Kac, Prop. 3.6), so all it adds are weights; and every weight
+    other than nu lies on a string whose top has smaller height and no
+    larger depth at any node (Humphreys, Lie algebras, 21.3), so every
+    weight inside both cuts is reached.
+    """
+    cols = [[a[k - 1][j - 1] for k in J] for j in J]
+    found = {tuple([0] * len(J)): tuple(nu)}
+    stack = list(found)
+    while stack:
+        d = stack.pop()
+        ev = found[d]
+        free = room - sum(d)
+        for p, e in enumerate(ev):
+            for t in range(1, min(e, free, box[p] - d[p]) + 1):
+                d2 = d[:p] + (d[p] + t,) + d[p + 1:]
+                if d2 not in found:
+                    found[d2] = tuple(x - t * y for x, y in zip(ev, cols[p]))
+                    stack.append(d2)
+    return found
+
+
+def pvm_member(lam, J, c):
+    """Is lambda - sum c_i alpha_i a weight of the parabolic Verma M(lambda,J)?
+
+    Slice test: with c_{J^c} held fixed the weights are those of L_J(nu),
+    nu = lambda - sum_{i not in J} c_i alpha_i, which is J-dominant since
+    a_ij <= 0 (Humphreys, Lie algebras, 21.3).  So the answer is whether c_J
+    is among the weights of L_J(nu) with depth <= c_J coordinatewise, the
+    closure _levi_weights; that cut keeps it within prod(c_j + 1) depths.
+    J must lie in the integrable nodes and its Levi must be of finite type;
+    ValueError otherwise.
+    """
+    J = _levi(lam, J)
     if any(x < 0 for x in c):
         return False
-    a = lam.gcm.a
-    d = list(c)
-    ev = {j: eval_at(lam, c, j) for j in J}
-    while True:
-        j = next((j for j in J if ev[j] < 0), None)
-        if j is None:
-            return True
-        e = ev[j]
-        d[j - 1] += e
-        if d[j - 1] < 0:
-            return False
-        for k in J:
-            ev[k] -= a[k - 1][j - 1] * e
+    c_J = tuple(c[j - 1] for j in J)
+    off_J = [0 if i in J else x for i, x in enumerate(c, 1)]
+    nu = [eval_at(lam, off_J, j) for j in J]
+    return c_J in _levi_weights(lam.gcm.a, J, nu, height(c_J), c_J)
 
 
 def weight_member(spec, c):
@@ -114,11 +141,42 @@ def weight_member(spec, c):
 
 
 def weight_set(spec, N):
-    return {c for c in depth_vectors(spec.gcm.n, N) if weight_member(spec, c)}
+    """wt M(lambda, H) up to height N: the union over the minimal
+    transversals J of wt M(lambda, J)."""
+    if spec.is_zero():
+        return set()
+    if not spec.holes.min_holes:
+        return set(depth_vectors(spec.gcm.n, N))
+    out = set()
+    for J in spec.min_transversals():
+        out |= pvm_weight_set(spec.lam, J, N)
+    return out
 
 
 def pvm_weight_set(lam, J, N):
-    return {c for c in depth_vectors(lam.gcm.n, N) if pvm_member(lam, J, c)}
+    """wt M(lambda, J) up to height N, slice by slice: with c_{J^c} fixed the
+    c_J are the weights of L_J(nu), nu = lambda - sum_{i not in J} c_i alpha_i
+    (Humphreys, Lie algebras, 21.3; see pvm_member), cut to N - height(c_{J^c}).
+
+    c_{J^c} runs in order of height, so each slice is built at its tallest cut.
+    """
+    J = _levi(lam, J)
+    n = lam.gcm.n
+    K = [i for i in lam.gcm.nodes if i not in J]
+    slices = {}
+    out = set()
+    for c_K in sorted(depth_vectors(len(K), N), key=height):
+        room = N - height(c_K)
+        off_J = embed(n, K, c_K)
+        nu = tuple(eval_at(lam, off_J, j) for j in J)
+        if nu not in slices:
+            found = _levi_weights(lam.gcm.a, J, nu, room, [room] * len(J))
+            slices[nu] = sorted((height(d), embed(n, J, d)) for d in found)
+        for h, d in slices[nu]:
+            if h > room:
+                break
+            out.add(add_vectors(off_J, d))
+    return out
 
 
 def _minkowski_sum(A, B, N):

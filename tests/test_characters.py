@@ -8,7 +8,6 @@ from hovm import characters
 from hovm.characters import (
     FormalCharacter,
     dot_orbit_terms,
-    freudenthal_char,
     kostant_partition,
     parabolic_verma_char,
     partition_table,
@@ -16,6 +15,7 @@ from hovm.characters import (
     simple_finite_char,
     verma_char,
 )
+from hovm.oracle import freudenthal_char
 from hovm.rootdata import parse_gcm, positive_roots
 from hovm.weights import HighestWeight, depth_vectors, dot_reflect, height
 

@@ -343,3 +343,32 @@ def test_fuzz_verify(suite, seed, trials):
     assert code in (0, 3)
     assert json.loads(out)["status"] in ("ok", "mismatch")
     assert err == ""
+
+
+def test_import_loads_only_the_core():
+    # every fresh process pays for what `import hovm` compiles and runs, so
+    # the oracles, verify and the CLI stay off that path
+    code = (
+        "import json, sys, hovm\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hovm')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert json.loads(proc.stdout) == [
+        "hovm", "hovm.characters", "hovm.holes", "hovm.rootdata", "hovm.weights",
+        "hovm.weightsets",
+    ]
+
+
+DEMOS = sorted((pathlib.Path(SRC).parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -85,6 +85,60 @@ def test_pvm_member_matches_unbounded_walk():
     assert proper >= 30 and nonint >= 20 and min(answers.values()) >= 500
 
 
+SET_TYPES = [
+    ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 6), ("B3", 6), ("C3", 6),
+    ("C4", 6), ("D4", 6), ("F4", 6), ("A4", 6), ("E6", 4), ("A1^4", 6),
+    # B3 numbered from the short end: c_K = (0, 2) and (1, 0) on K = {1, 3}
+    # give the same slice at J = {2}, the first of them in lexicographic order
+    # being the taller one
+    ([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], 6),
+]
+
+
+def test_pvm_weight_set_matches_walk():
+    """Slice-by-slice generation against the per-vector walk, for single J
+    and for the union over the minimal transversals of random holes."""
+    rng = random.Random(11)
+    empty_J = nonint = negative = 0
+    for name, top in SET_TYPES:
+        g = parse_gcm(name)
+        graph = DynkinGraph(g)
+        for _ in range(34):
+            evals = [rng.choice([-2, -1, 0, 0, 1, 2, 3, "x"]) for _ in range(g.n)]
+            lam = HighestWeight(g, evals)
+            J_lam = integrability(lam)
+            J = frozenset(j for j in J_lam if rng.random() < 0.5)
+            N = rng.randint(0, top)
+            vectors = list(depth_vectors(g.n, N))
+            walk = {c for c in vectors if _unbounded_walk_member(lam, J, c)}
+            assert pvm_weight_set(lam, J, N) == walk, (name, evals, J, N)
+            indep = independent_sets(graph, J_lam)
+            holes = rng.sample(indep, min(len(indep), rng.randint(0, 3)))
+            spec = spec_from_sets(lam, holes)
+            if spec.holes.min_holes:
+                ts = spec.min_transversals()
+                walk = {
+                    c for c in vectors
+                    if any(_unbounded_walk_member(lam, T, c) for T in ts)
+                }
+            else:
+                walk = set(vectors)
+            assert weight_set(spec, N) == walk, (name, evals, holes, N)
+            empty_J += not J
+            nonint += "x" in evals
+            negative += any(e != "x" and e < 0 for e in evals)
+    assert min(empty_J, nonint, negative) >= 50
+
+
+def test_weight_set_levi_must_be_finite():
+    affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
+    with pytest.raises(ValueError, match="finite type"):
+        weight_set(spec_from_sets(affine, [{1}, {2}]), 4)
+    assert weight_set(spec_from_sets(affine, [{1}]), 3) == {
+        c for c in depth_vectors(2, 3) if pvm_member(affine, {1}, c)
+    }
+
+
 def test_pvm_member_levi_must_be_finite():
     affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
     with pytest.raises(ValueError, match="finite type"):
@@ -199,6 +253,43 @@ def test_psi_separating_weight():
         psi_separating_weight(lam, h1, h1)
     hs1, hs2 = HoleSet({1, 2}, [{1}]), HoleSet({1, 2}, [{2}])
     assert psi_separating_weight(lam, hs1, hs2) in {(1, 0), (0, 1)}
+
+
+PSI_TYPES = ["A3", "B3", "D4", "A1^3"]
+
+
+def test_psi_separating_weight_separates():
+    """The paper's pairwise distinct weight sets: the witness lies in the
+    weight set of exactly one antichain, or the closures agree."""
+    rng = random.Random(3)
+    separated = agreed = 0
+    for name in PSI_TYPES:
+        g = parse_gcm(name)
+        graph = DynkinGraph(g)
+        for _ in range(30):
+            lam = HighestWeight(g, [rng.choice([0, 0, 1, 2, -1, "x"]) for _ in g.nodes])
+            J = integrability(lam)
+            indep = independent_sets(graph, J)
+            if not indep:
+                continue
+            sets1 = rng.sample(indep, rng.randint(0, min(3, len(indep))))
+            if rng.random() < 0.3:
+                # same closure: add supersets of holes already present
+                sets2 = sets1 + [h for h in indep if any(s < h for s in sets1)]
+            else:
+                sets2 = rng.sample(indep, rng.randint(0, min(3, len(indep))))
+            spec1, spec2 = spec_from_sets(lam, sets1), spec_from_sets(lam, sets2)
+            closure1 = {h for h in indep if any(s <= h for s in sets1)}
+            closure2 = {h for h in indep if any(s <= h for s in sets2)}
+            if closure1 == closure2:
+                with pytest.raises(ValueError, match="same closure"):
+                    psi_separating_weight(lam, spec1.holes, spec2.holes)
+                agreed += 1
+                continue
+            w = psi_separating_weight(lam, spec1.holes, spec2.holes)
+            assert weight_member(spec1, w) != weight_member(spec2, w), (lam, sets1, sets2)
+            separated += 1
+    assert separated >= 50 and agreed >= 20
 
 
 def test_altwts():
