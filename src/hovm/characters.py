@@ -166,7 +166,7 @@ def parabolic_verma_char(lam, J, N):
     return shifted_partition_sum(lam.gcm, dot_orbit_terms(lam, J, N), N)
 
 
-def _on_levi(lam, J, N, levi_char):
+def on_levi(lam, J, N, levi_char):
     """levi_char(sub_lam, N) -> {depth: mult}, run on the Levi on J with lambda
     restricted to it, embedded back into full-rank depth vectors.
 
@@ -196,4 +196,4 @@ def simple_finite_char(lam, J, N):
     def levi_char(sub_lam, N):
         return parabolic_verma_char(sub_lam, sub_lam.gcm.nodes, N).coeffs
 
-    return _on_levi(lam, J, N, levi_char)
+    return on_levi(lam, J, N, levi_char)

@@ -14,7 +14,7 @@ on the alternating Weyl sum of characters.simple_finite_char.
 import itertools
 
 from . import rootdata
-from .characters import FormalCharacter, _on_levi
+from .characters import FormalCharacter, on_levi
 from .holes import HoleSet
 from .weights import depth_vectors, eval_at, integrability, lambda_H
 
@@ -134,7 +134,7 @@ def lam_below(lam, c):
 
 def freudenthal_char(lam, J, N):
     """Test oracle: ch L_J^max(lambda) by Freudenthal's recursion on the Levi."""
-    return _on_levi(lam, J, N, _freudenthal)
+    return on_levi(lam, J, N, _freudenthal)
 
 
 def _freudenthal(sub_lam, N):

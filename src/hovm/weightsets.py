@@ -75,19 +75,16 @@ def _levi(lam, J):
     return J
 
 
-def _levi_weights(a, J, nu, room, box):
+def _levi_weights(a, J, nu, room):
     """Depths d over J (ordered as J) of the weights of L_J(nu) with height
-    <= room and d <= box coordinatewise, as a dict to their J-evaluations;
-    nu is given by its own.
+    <= room, as a dict to their J-evaluations; nu is given by its own.
 
     Downward closure under alpha_j-strings: from depth d with evaluation
     e > 0 at j, add d + t u_j (u_j the unit vector at j) for t = 1..min(e,
-    room - height(d), box_j - d_j).  Exact by two facts: every
-    alpha_j-string of weights is unbroken and as long as the evaluation at
-    its top (Kac, Prop. 3.6), so all it adds are weights; and every weight
-    other than nu lies on a string whose top has smaller height and no
-    larger depth at any node (Humphreys, Lie algebras, 21.3), so every
-    weight inside both cuts is reached.
+    room - height(d)).  Exact by two facts: every alpha_j-string of weights
+    is unbroken and as long as the evaluation at its top (Kac, Prop. 3.6);
+    every weight other than nu lies on a string whose top has smaller
+    height (Humphreys, Lie algebras, 21.3), so all within the cut are found.
     """
     cols = [[a[k - 1][j - 1] for k in J] for j in J]
     found = {tuple([0] * len(J)): tuple(nu)}
@@ -97,7 +94,7 @@ def _levi_weights(a, J, nu, room, box):
         ev = found[d]
         free = room - sum(d)
         for p, e in enumerate(ev):
-            for t in range(1, min(e, free, box[p] - d[p]) + 1):
+            for t in range(1, min(e, free) + 1):
                 d2 = d[:p] + (d[p] + t,) + d[p + 1:]
                 if d2 not in found:
                     found[d2] = tuple(x - t * y for x, y in zip(ev, cols[p]))
@@ -108,21 +105,27 @@ def _levi_weights(a, J, nu, room, box):
 def pvm_member(lam, J, c):
     """Is lambda - sum c_i alpha_i a weight of the parabolic Verma M(lambda,J)?
 
-    Slice test: with c_{J^c} held fixed the weights are those of L_J(nu),
-    nu = lambda - sum_{i not in J} c_i alpha_i, which is J-dominant since
-    a_ij <= 0 (Humphreys, Lie algebras, 21.3).  So the answer is whether c_J
-    is among the weights of L_J(nu) with depth <= c_J coordinatewise, the
-    closure _levi_weights; that cut keeps it within prod(c_j + 1) depths.
-    J must lie in the integrable nodes and its Levi must be of finite type;
-    ValueError otherwise.
+    Slice walk on the weights of L_J(nu) (see pvm_weight_set), which W_J
+    permutes: while some J-evaluation e is negative, reflect at the first
+    such node j, which adds e < 0 to c_j alone (Kac, Prop. 3.12).  It fails
+    once a J-coordinate goes negative and holds once no J-evaluation is, so
+    it ends within height(c) + 1 steps; the closure would visit up to
+    prod(c_j + 1).  J must lie in the integrable nodes and its Levi must be
+    of finite type; ValueError otherwise.
     """
     J = _levi(lam, J)
     if any(x < 0 for x in c):
         return False
-    c_J = tuple(c[j - 1] for j in J)
-    off_J = [0 if i in J else x for i, x in enumerate(c, 1)]
-    nu = [eval_at(lam, off_J, j) for j in J]
-    return c_J in _levi_weights(lam.gcm.a, J, nu, height(c_J), c_J)
+    a, d = lam.gcm.a, list(c)
+    ev = {j: eval_at(lam, c, j) for j in J}
+    while (j := next((k for k in J if ev[k] < 0), None)) is not None:
+        e = ev[j]
+        d[j - 1] += e
+        if d[j - 1] < 0:
+            return False
+        for k in J:
+            ev[k] -= a[k - 1][j - 1] * e
+    return True
 
 
 def weight_member(spec, c):
@@ -147,30 +150,26 @@ def weight_set(spec, N):
         return set()
     if not spec.holes.min_holes:
         return set(depth_vectors(spec.gcm.n, N))
-    out = set()
-    for J in spec.min_transversals():
-        out |= pvm_weight_set(spec.lam, J, N)
-    return out
+    ts = spec.min_transversals()
+    return set().union(*(pvm_weight_set(spec.lam, J, N) for J in ts))
 
 
 def pvm_weight_set(lam, J, N):
     """wt M(lambda, J) up to height N, slice by slice: with c_{J^c} fixed the
     c_J are the weights of L_J(nu), nu = lambda - sum_{i not in J} c_i alpha_i
-    (Humphreys, Lie algebras, 21.3; see pvm_member), cut to N - height(c_{J^c}).
+    (Humphreys, Lie algebras, 21.3), cut to N - height(c_{J^c}).
 
     c_{J^c} runs in order of height, so each slice is built at its tallest cut.
     """
-    J = _levi(lam, J)
-    n = lam.gcm.n
+    J, n = _levi(lam, J), lam.gcm.n
     K = [i for i in lam.gcm.nodes if i not in J]
-    slices = {}
-    out = set()
+    slices, out = {}, set()
     for c_K in sorted(depth_vectors(len(K), N), key=height):
         room = N - height(c_K)
         off_J = embed(n, K, c_K)
         nu = tuple(eval_at(lam, off_J, j) for j in J)
         if nu not in slices:
-            found = _levi_weights(lam.gcm.a, J, nu, room, [room] * len(J))
+            found = _levi_weights(lam.gcm.a, J, nu, room)
             slices[nu] = sorted((height(d), embed(n, J, d)) for d in found)
         for h, d in slices[nu]:
             if h > room:

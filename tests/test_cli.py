@@ -251,6 +251,27 @@ def test_affine_jobs_exit_cleanly(argv, lam, holes):
         ]
 
 
+@pytest.mark.parametrize(
+    "algebra,lam,depth,member",
+    [
+        ("A6", [6] * 6, [6, 10, 12, 12, 10, 6], True),
+        ("E8", [3] * 8, [50] * 8, False),
+    ],
+)
+def test_tall_member_is_fast(algebra, lam, depth, member):
+    # member has no cap on the depth: its test must stay linear in the depth
+    # height (56 and 400 here), not grow with the number of depths below it
+    holes = [[i] for i in range(1, len(lam) + 1)]
+    payload = {"algebra": algebra, "lambda": lam, "holes": holes, "depth": depth}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hovm.cli", "member"],
+        input=json.dumps(payload), capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"member": member}
+
+
 def test_broken_pipe_exits_quietly():
     # about 2 MB of output: the reader closes the pipe long before the end
     payload = {"algebra": "A1^4", "lambda": ["x"] * 4, "holes": [], "N": 30}
