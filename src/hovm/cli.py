@@ -14,6 +14,7 @@ import sys
 
 from . import rootdata
 from .cat_o import build_block, kl_bases, reciprocity_table, simples_in_block
+from .characters import FormalCharacter
 from .holes import CapExceeded, minimalize, order_k_truncations
 from .resolutions import (
     dihedral_candidate,
@@ -22,7 +23,7 @@ from .resolutions import (
     taylor_resolution,
     verify_complex,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .weights import HighestWeight, integrability
 from .weightsets import (
     HovmSpec,
@@ -33,6 +34,7 @@ from .weightsets import (
     weight_set,
     weight_set_minkowski,
 )
+from .weyl import order_of_hole_product
 
 HEIGHT_DEFAULT = 10
 HEIGHT_CAP = 30
@@ -162,8 +164,6 @@ def cmd_char(args):
                 "method %r is defined over sl2^n only" % args.method
             )
         if args.method == "union":
-            from .characters import FormalCharacter
-
             char = FormalCharacter(N, dict.fromkeys(weight_set(spec, N), 1))
         else:
             char = inclusion_exclusion_char(spec, N)
@@ -280,8 +280,6 @@ def cmd_order_product(args):
     payload = _load_payload(args)
     gcm = _gcm_of(payload)
     holes = _hole_list(payload, gcm)
-    from .weyl import order_of_hole_product
-
     return {"order": order_of_hole_product(gcm, holes)}, 0
 
 
@@ -298,19 +296,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def job(name, help_text):
+    def job(name, help_text, cutoff=True):
+        """A JSON job; `cutoff` adds the height flags read by _height_of."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", help="read the JSON job from a file, not stdin")
-        p.add_argument("--height", type=int, default=None, help="cutoff N")
-        p.add_argument(
-            "--allow-large-height",
-            action="store_true",
-            help="lift the hard cap of %d" % HEIGHT_CAP,
-        )
+        if cutoff:
+            p.add_argument("--height", type=int, default=None, help="cutoff N")
+            p.add_argument(
+                "--allow-large-height",
+                action="store_true",
+                help="lift the hard cap of %d" % HEIGHT_CAP,
+            )
         return p
 
     job("weights", "enumerate the weight set up to the cutoff")
-    job("member", "test one depth vector for membership")
+    job("member", "test one depth vector for membership", cutoff=False)
     job("check", "cross-check the weight-set formulas on one instance")
     p = job("char", "truncated formal character")
     p.add_argument(
@@ -325,15 +325,11 @@ def build_parser():
     p = job("approx", "order-k truncation of the hole set")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--side", choices=["upper", "lower"], required=True)
-    job("reciprocity", "BGG reciprocity table of a block")
-    job("kl", "truncated Kazhdan-Lusztig change-of-basis matrices")
-    job("order-product", "order of a product of hole reflections")
+    job("reciprocity", "BGG reciprocity table of a block", cutoff=False)
+    job("kl", "truncated Kazhdan-Lusztig change-of-basis matrices", cutoff=False)
+    job("order-product", "order of a product of hole reflections", cutoff=False)
     p = sub.add_parser("verify", help="seeded randomized oracle suites")
-    p.add_argument(
-        "--suite",
-        choices=["weights", "chars", "reciprocity", "kl", "resolutions"],
-        required=True,
-    )
+    p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     return parser

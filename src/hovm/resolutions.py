@@ -12,9 +12,10 @@ import itertools
 
 from . import rootdata
 from .characters import shifted_partition_sum
-from .weights import dot_reflect, lambda_H
+from .holes import minimalize
+from .weights import integrability, lambda_H
 from .weightsets import HovmSpec, weight_set
-from .weyl import order_of_hole_product
+from .weyl import hole_dot, order_of_hole_product
 
 
 class Resolution:
@@ -119,8 +120,6 @@ def koszul_resolution(lam, holeset):
 
 def taylor_resolution(lam, holeset):
     """Setting 2: the integrable nodes form an independent set."""
-    from .weights import integrability
-
     graph = rootdata.DynkinGraph(lam.gcm)
     J = integrability(lam)
     if not graph.is_independent(J):
@@ -170,12 +169,6 @@ def wcf_terms(lam, holeset, setting):
     return [((-1) ** t, w, t) for t, J, w in res.entries()]
 
 
-def _dot_act_hole(lam, c, H):
-    for h in sorted(H):
-        c = dot_reflect(lam, c, h)
-    return c
-
-
 def sign_symmetry_check(lam, holeset):
     """Numerator-level sign symmetry in the Koszul setting: the dot action of
     w_K permutes the terms via J -> K symm-diff J and scales the numerator by
@@ -194,7 +187,7 @@ def sign_symmetry_check(lam, holeset):
     for K in subsets:
         HK = union_of(K)
         for J in subsets:
-            image = _dot_act_hole(lam, lambda_H(lam, union_of(J)), HK)
+            image = hole_dot(lam, lambda_H(lam, union_of(J)), HK)
             target = K ^ J
             if image != lambda_H(lam, union_of(target)):
                 return False
@@ -226,7 +219,7 @@ def dihedral_candidate(lam, H1, H2, N):
             gens = [first if i % 2 == 0 else (H2 if first is H1 else H1) for i in range(t)]
             c = tuple([0] * gcm.n)
             for H in reversed(gens):
-                c = _dot_act_hole(lam, c, H)
+                c = hole_dot(lam, c, H)
             out.append(c)
         return out
 
@@ -235,15 +228,11 @@ def dihedral_candidate(lam, H1, H2, N):
     levels = {0: [(frozenset(), tuple([0] * gcm.n))]}
     for t in range(1, m):
         levels[t] = sorted({("a", w1[t - 1]), ("b", w2[t - 1])}, key=lambda e: e[1])
-        levels[t] = [(tag, w) for tag, w in levels[t]]
     levels[m] = [("top", w1[m - 1])]
 
     terms = [((-1) ** t, w) for t, entries in levels.items() for _, w in entries]
     char = shifted_partition_sum(gcm, terms, N)
     graph = rootdata.DynkinGraph(gcm)
-    from .holes import minimalize
-    from .weights import integrability
-
     spec = HovmSpec(lam, minimalize(graph, integrability(lam), [H1, H2]))
     expected = weight_set(spec, N)
     nonneg = all(v >= 0 for v in char.coeffs.values())

@@ -256,10 +256,7 @@ SUITES = {
 }
 
 
-def run_suite(name, seed, trials, N=None):
+def run_suite(name, seed, trials):
     if name not in SUITES:
         raise ValueError("unknown suite %r" % name)
-    fn = SUITES[name]
-    if name in ("weights", "chars", "resolutions") and N is not None:
-        return fn(seed, trials, N)
-    return fn(seed, trials)
+    return SUITES[name](seed, trials)

@@ -167,6 +167,16 @@ def test_validation_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["member", "reciprocity", "kl", "order-product"])
+@pytest.mark.parametrize("flag", [["--height", "7"], ["--allow-large-height"]])
+def test_height_flags_only_where_read(capsys, command, flag):
+    # these subcommands take no cutoff, so the flags are refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
 
 
@@ -186,6 +196,7 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["order-product"], {"algebra": "A4", "holes": [[9], [1]]}),
         (["order-product"], {"algebra": "A4", "holes": [[0], [3]]}),
         (["order-product"], {"algebra": "A4", "holes": [[True], [3]]}),
+        (["order-product"], {"algebra": [[2, -2], [-2, 2]], "holes": [[1], [2]]}),
     ],
 )
 def test_malformed_values(capsys, tmp_path, argv, payload):

@@ -1,19 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 from hovm.characters import dot_orbit_terms
-from hovm.rootdata import DynkinGraph, parse_gcm
-from hovm.weights import HighestWeight, lambda_H
-from hovm.weyl import (
-    compose,
-    hole_reflection,
-    identity_matrix,
-    order,
-    order_of_hole_product,
-    semigroup,
-    simple_reflection,
-)
+from hovm.holes import HoleSet
+from hovm.resolutions import taylor_resolution
+from hovm.rootdata import DynkinGraph, independent_sets, parse_gcm
+from hovm.weights import HighestWeight, depth_vectors, lambda_H
+from hovm.weyl import hole_dot, order_of_hole_product
 
 
 def _weyl_orbit(g):
@@ -30,18 +25,18 @@ def test_weyl_group_sizes(name, size):
 
 def test_simple_reflection_involution():
     g = parse_gcm("B2")
+    lam = HighestWeight(g, [1, 0])
     for i in (1, 2):
-        s = simple_reflection(g, i)
-        assert compose(s, s) == identity_matrix(2)
-        assert order(s) == 2
+        assert order_of_hole_product(g, [{i}], method="direct") == 2
+        for c in depth_vectors(2, 4):
+            assert hole_dot(lam, hole_dot(lam, c, {i}), {i}) == c
 
 
 def test_braid_orders():
     # order of s_i s_j is 2, 3, 4, 6 for a_ij a_ji = 0, 1, 2, 3
     for name, expected in [("A1^2", 2), ("A2", 3), ("B2", 4), ("G2", 6)]:
         g = parse_gcm(name)
-        w = compose(simple_reflection(g, 1), simple_reflection(g, 2))
-        assert order(w) == expected
+        assert order_of_hole_product(g, [{1}, {2}], method="direct") == expected
 
 
 def test_lengths_via_bfs():
@@ -52,12 +47,25 @@ def test_lengths_via_bfs():
 
 def test_hole_reflection():
     g = parse_gcm("A3")
-    graph = DynkinGraph(g)
-    w = hole_reflection(g, {1, 3}, graph)
-    assert w == compose(simple_reflection(g, 1), simple_reflection(g, 3))
-    assert order(w) == 2
+    lam = HighestWeight(g, [2, 0, 1])
+    for c in depth_vectors(3, 3):
+        # s_{1,3} = s_1 s_3, and s_1, s_3 commute
+        assert hole_dot(lam, c, {1, 3}) == hole_dot(lam, hole_dot(lam, c, {3}), {1})
+        assert hole_dot(lam, c, {1, 3}) == hole_dot(lam, hole_dot(lam, c, {1}), {3})
+    assert order_of_hole_product(g, [{1, 3}], method="direct") == 2
     with pytest.raises(ValueError):
-        hole_reflection(g, {1, 2}, graph)
+        order_of_hole_product(g, [{1, 2}], method="direct")
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "D4", "E6", "A1^4"])
+def test_lambda_H_is_hole_dot(name):
+    # weights.lambda_H: the depth of (prod_{h in H} s_h) . lambda
+    g = parse_gcm(name)
+    rng = random.Random(name)
+    zero = (0,) * g.n
+    for H in independent_sets(DynkinGraph(g), g.nodes):
+        lam = HighestWeight(g, [rng.randint(0, 4) for _ in g.nodes])
+        assert lambda_H(lam, H) == hole_dot(lam, zero, H)
 
 
 def test_order_of_hole_product_sl5():
@@ -67,11 +75,21 @@ def test_order_of_hole_product_sl5():
     assert order_of_hole_product(g, [{3}, {2, 4}]) == 4
 
 
+def _bipartition(g):
+    """The two colour classes of a connected Dynkin diagram."""
+    graph = DynkinGraph(g)
+    colour = {1: 0}
+    while len(colour) < g.n:
+        for i, j in itertools.permutations(g.nodes, 2):
+            if i in colour and j not in colour and graph.adjacent(i, j):
+                colour[j] = 1 - colour[i]
+    return [{i for i in g.nodes if colour[i] == side} for side in (0, 1)]
+
+
 def test_order_lcm_equals_direct():
-    for name in ["A3", "A4", "D4"]:
+    for name in ["A3", "A4", "D4", "F4", "E6", "E7", "E8"]:
         g = parse_gcm(name)
         graph = DynkinGraph(g)
-        singles = [frozenset({i}) for i in g.nodes]
         indep = [
             frozenset(s)
             for size in (1, 2)
@@ -84,6 +102,14 @@ def test_order_lcm_equals_direct():
             assert order_of_hole_product(g, [h1, h2]) == order_of_hole_product(
                 g, [h1, h2], method="direct"
             )
+    # a bipartite Coxeter element has the Coxeter number as its order; A9
+    # and B10 exceed rank 8
+    for name, h in [("F4", 12), ("E6", 12), ("E7", 18), ("E8", 30), ("A9", 10),
+                    ("B10", 20)]:
+        g = parse_gcm(name)
+        holes = _bipartition(g)
+        assert order_of_hole_product(g, holes) == h
+        assert order_of_hole_product(g, holes, method="direct") == h
 
 
 def test_order_product_validation():
@@ -100,15 +126,26 @@ def test_order_product_validation():
     assert order_of_hole_product(g, []) == 1
 
 
+@pytest.mark.parametrize("method", ["lcm_formula", "direct"])
+def test_order_product_refuses_affine(method):
+    g = parse_gcm([[2, -2], [-2, 2]])
+    with pytest.raises(ValueError, match="not of finite type"):
+        order_of_hole_product(g, [{1}, {2}], method=method)
+
+
 def test_semigroup():
-    holes = [frozenset({1, 2}), frozenset({2, 3})]
-    elems = semigroup(holes)
-    assert len(elems) == 4
-    e, a, b, ab = elems
-    assert (a * b).index_set == {1, 2}
-    assert (a * a) == a  # idempotent
-    assert ab.length == 2
-    lam = HighestWeight(parse_gcm("A1^3"), [0, 0, 0])
-    # w_{1} .' lambda_{H_2} = lambda_{H_1 u H_2}
-    assert a.act(lam, other_index={2}) == lambda_H(lam, {1, 2, 3})
-    assert e.act(lam) == (0, 0, 0)
+    # the parabolic Weyl semigroup is the subset index of the Taylor levels:
+    # w_J .' lambda = lambda_{H_J} for the union H_J of the holes in J, and
+    # the product w_J w_K = w_{J u K} stays in the index
+    holes = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
+    lam = HighestWeight(parse_gcm("A1^3"), [0, 1, 0])
+    res = taylor_resolution(lam, HoleSet({1, 2, 3}, holes))
+    index = {J: w for _, J, w in res.entries()}
+    assert len(index) == 2 ** len(holes)
+    for J, w in index.items():
+        union = frozenset().union(*(res.hole_list[i - 1] for i in J))
+        assert w == lambda_H(lam, union)
+    for J, K in itertools.combinations(index, 2):
+        assert J | K in index
+    assert index[frozenset()] == (0, 0, 0)
+    assert index[frozenset({1, 2})] == lambda_H(lam, {1, 2, 3}) == (1, 2, 1)
