@@ -19,7 +19,7 @@ from .holes import (
     order_k_truncations,
     transversals,
 )
-from .rootdata import GCM, DynkinGraph, independent_sets, parse_gcm, positive_roots
+from .rootdata import GCM, independent_sets, parse_gcm, positive_roots
 from .weights import (
     HighestWeight,
     NONINT,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GCM",
-    "DynkinGraph",
     "parse_gcm",
     "positive_roots",
     "independent_sets",

@@ -11,7 +11,6 @@ subsets.
 
 import itertools
 
-from . import rootdata
 from .holes import ZERO, h_prime
 from .weights import HighestWeight
 from .weightsets import HovmSpec
@@ -104,8 +103,7 @@ def universal_cover(bh, K):
     """M(w_K . lambda~, H'_{w_K . lambda~}), the cover of L(w_K . lambda~)."""
     K = frozenset(K)
     mu = bh.block.member(K)
-    graph = rootdata.DynkinGraph(bh.block.gcm)
-    hp = h_prime(graph, mu, bh.holes.min_holes)
+    hp = h_prime(mu, bh.holes.min_holes)
     if hp is ZERO:
         return ZERO
     return HovmSpec(mu, hp)
@@ -128,9 +126,8 @@ def reciprocity_table(bh):
     L(w_K . lambda~) inside the cover of index K2.
     """
     table = {}
-    graph = rootdata.DynkinGraph(bh.block.gcm)
     for K in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
-        h_wk = h_prime(graph, bh.block.member(K), bh.holes.min_holes)
+        h_wk = h_prime(bh.block.member(K), bh.holes.min_holes)
         holes_json = None if h_wk is ZERO else h_wk.to_json()
         for K2 in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
             lhs = int(K2 <= K)

@@ -78,9 +78,9 @@ def partition_table(gcm, N):
     """ch M(0) = prod_{beta>0} 1/(1-e^{-beta}) up to height >= N: at depth c,
     the Kostant partition function of c (Humphreys, BGG category O, 1.16).
 
-    Coin change: one pass per positive root over the depth vectors in order
-    of height, the order of the keys too.  Kept per GCM, rebuilt only for a
-    taller N; callers must not mutate it.
+    Coin change: one pass per positive root of height <= N over the depth
+    vectors in order of height, the order of the keys too.  Kept per GCM,
+    rebuilt only for a taller N; callers must not mutate it.
     """
     table = _tables.get(gcm)
     if table is not None and table.cutoff >= N:
@@ -90,6 +90,8 @@ def partition_table(gcm, N):
     counts = dict.fromkeys(vectors, 0)
     counts[vectors[0]] = 1
     for beta in rootdata.positive_roots(gcm).positive_roots:
+        if height(beta) > N:
+            continue
         for c in vectors:
             rest = tuple(map(operator.sub, c, beta))
             if min(rest) >= 0:

@@ -40,10 +40,6 @@ HEIGHT_DEFAULT = 10
 HEIGHT_CAP = 30
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _load_payload(args):
     if getattr(args, "input", None):
         with open(args.input) as fh:
@@ -53,39 +49,39 @@ def _load_payload(args):
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ValidationError("malformed JSON input: %s" % e)
+        raise ValueError("malformed JSON input: %s" % e)
     if not isinstance(payload, dict):
-        raise ValidationError("input must be a JSON object")
+        raise ValueError("input must be a JSON object")
     return payload
 
 
 def _gcm_of(payload):
     if "algebra" not in payload:
-        raise ValidationError("missing 'algebra'")
+        raise ValueError("missing 'algebra'")
     try:
         return rootdata.parse_gcm(payload["algebra"])
-    except (ValueError, TypeError) as e:
-        raise ValidationError(str(e))
+    except TypeError as e:
+        raise ValueError(str(e))
 
 
 def _lam_of(payload, gcm):
     if "lambda" not in payload:
-        raise ValidationError("missing 'lambda'")
+        raise ValueError("missing 'lambda'")
     try:
         return HighestWeight(gcm, payload["lambda"])
-    except (ValueError, TypeError) as e:
-        raise ValidationError(str(e))
+    except TypeError as e:
+        raise ValueError(str(e))
 
 
 def _hole_list(payload, gcm):
     """'holes' as frozensets; every node a non-bool int in 1..n."""
     raw = payload.get("holes", [])
     if not isinstance(raw, list) or any(not isinstance(h, list) for h in raw):
-        raise ValidationError("'holes' must be an array of node arrays")
+        raise ValueError("'holes' must be an array of node arrays")
     for h in raw:
         for i in h:
             if type(i) is not int or not 1 <= i <= gcm.n:  # JSON true is an int
-                raise ValidationError(
+                raise ValueError(
                     "hole node %r is not an integer in 1..%d" % (i, gcm.n)
                 )
     return [frozenset(h) for h in raw]
@@ -93,10 +89,9 @@ def _hole_list(payload, gcm):
 
 def _holes_of(payload, gcm, lam=None, context=None):
     holes = _hole_list(payload, gcm)
-    graph = rootdata.DynkinGraph(gcm)
     if context is None:
         context = integrability(lam)
-    return minimalize(graph, context, holes)
+    return minimalize(gcm, context, holes)
 
 
 def _spec_of(payload):
@@ -108,9 +103,9 @@ def _spec_of(payload):
 def _height_of(args, payload):
     N = args.height if args.height is not None else payload.get("N", HEIGHT_DEFAULT)
     if type(N) is not int or N < 0:  # JSON true is a Python int
-        raise ValidationError("height must be a nonnegative integer")
+        raise ValueError("height must be a nonnegative integer")
     if N > HEIGHT_CAP and not args.allow_large_height:
-        raise ValidationError(
+        raise ValueError(
             "height %d exceeds the cap %d (pass --allow-large-height)"
             % (N, HEIGHT_CAP)
         )
@@ -133,7 +128,7 @@ def cmd_member(args):
     spec = _spec_of(payload)
     depth = payload.get("depth")
     if not isinstance(depth, list) or len(depth) != spec.gcm.n:
-        raise ValidationError("'depth' must be an array of length n")
+        raise ValueError("'depth' must be an array of length n")
     return {"member": weight_member(spec, tuple(depth))}, 0
 
 
@@ -160,7 +155,7 @@ def cmd_char(args):
     N = _height_of(args, payload)
     if args.method in ("union", "inclusion-exclusion"):
         if not spec.gcm.is_sl2n:
-            raise ValidationError(
+            raise ValueError(
                 "method %r is defined over sl2^n only" % args.method
             )
         if args.method == "union":
@@ -180,7 +175,7 @@ def cmd_resolution(args):
     if args.setting == "dihedral":
         hs = spec.holes.min_holes
         if len(hs) != 2:
-            raise ValidationError("the dihedral setting needs exactly two holes")
+            raise ValueError("the dihedral setting needs exactly two holes")
         levels, char, report = dihedral_candidate(spec.lam, hs[0], hs[1], N)
         return {
             "setting": "dihedral",
@@ -208,9 +203,8 @@ def cmd_approx(args):
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
-    graph = rootdata.DynkinGraph(spec.gcm)
     J = integrability(spec.lam)
-    upper, lower = order_k_truncations(graph, spec.holes, args.k, J)
+    upper, lower = order_k_truncations(spec.gcm, spec.holes, args.k, J)
     holeset = upper if args.side == "upper" else lower
     approx = HovmSpec(spec.lam, holeset)
     return {
@@ -224,7 +218,7 @@ def cmd_approx(args):
 def _blockholes_of(payload):
     gcm = _gcm_of(payload)
     if not gcm.is_sl2n:
-        raise ValidationError("block data is defined over sl2^n only")
+        raise ValueError("block data is defined over sl2^n only")
     lam = _lam_of(payload, gcm)
     block = build_block(lam)
     holes = _holes_of(payload, gcm, context=frozenset(gcm.nodes))

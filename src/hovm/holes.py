@@ -86,23 +86,23 @@ class HoleSet:
         return [sorted(h) for h in self.min_holes]
 
 
-def minimalize(graph, context, sets):
+def minimalize(gcm, context, sets):
     """Antichain of the inclusion-minimal members of `sets`."""
     context = frozenset(context)
     sets = [frozenset(s) for s in sets]
     for s in sets:
         if not s <= context:
             raise ValueError("hole leaves the context")
-        if not graph.is_independent(s):
+        if not gcm.is_independent(s):
             raise ValueError("hole is not independent")
     minimal = [s for s in sets if not any(t < s for t in sets)]
     return HoleSet(context, minimal)
 
 
-def closure_member(graph, holeset, H):
+def closure_member(gcm, holeset, H):
     """Is H in the upper closure of the antichain inside Indep(context)?"""
     H = frozenset(H)
-    if not H <= holeset.context or not graph.is_independent(H):
+    if not H <= holeset.context or not gcm.is_independent(H):
         return False
     return any(m <= H for m in holeset.min_holes)
 
@@ -158,7 +158,7 @@ def admissible_sets(holeset, k, cap=10**4):
     return families
 
 
-def h_prime(graph, lam, min_holes):
+def h_prime(lam, min_holes):
     """H'_lambda = minimalize({J_lambda n H}); ZERO if some trace is empty.
 
     The input holes live over the full node set I (general O^H data), so
@@ -171,10 +171,10 @@ def h_prime(graph, lam, min_holes):
         if not t:
             return ZERO
         traces.append(t)
-    return minimalize(graph, J, traces)
+    return minimalize(lam.gcm, J, traces)
 
 
-def order_k_truncations(graph, holeset, k, j_lambda):
+def order_k_truncations(gcm, holeset, k, j_lambda):
     """Hole antichains of the kth order upper and lower approximations.
 
     Upper (M_k): minimal holes of size <= k.  Lower (L_k): those same
@@ -190,16 +190,15 @@ def order_k_truncations(graph, holeset, k, j_lambda):
     lower_sets = list(small)
     for combo in itertools.combinations(sorted(j_lambda), k + 1):
         s = frozenset(combo)
-        if graph.is_independent(s) and not any(h <= s for h in small):
+        if gcm.is_independent(s) and not any(h <= s for h in small):
             lower_sets.append(s)
     return upper, HoleSet(j_lambda, lower_sets)
 
 
-def upper_closure(graph, holeset, include_context=None):
+def upper_closure(gcm, holeset):
     """Materialized upper closure inside Indep(context); bounded use only."""
-    context = holeset.context if include_context is None else include_context
     members = []
-    for h in rootdata.independent_sets(graph, context, include_empty=True):
+    for h in rootdata.independent_sets(gcm, holeset.context, include_empty=True):
         if any(m <= h for m in holeset.min_holes):
             members.append(h)
     return members

@@ -16,7 +16,7 @@ import itertools
 from . import rootdata
 from .characters import FormalCharacter, on_levi
 from .holes import HoleSet
-from .weights import depth_vectors, eval_at, integrability, lambda_H
+from .weights import HighestWeight, depth_vectors, eval_at, integrability, lambda_H
 
 
 class MonomialModule:
@@ -126,8 +126,6 @@ def oracle_jh(mod):
 
 def lam_below(lam, c):
     """The highest weight lambda - sum c_i alpha_i as an evaluation vector."""
-    from .weights import HighestWeight
-
     evals = [eval_at(lam, c, j) for j in lam.gcm.nodes]
     return HighestWeight(lam.gcm, evals)
 
@@ -138,58 +136,40 @@ def freudenthal_char(lam, J, N):
 
 
 def _freudenthal(sub_lam, N):
-    from fractions import Fraction
-
     sub = sub_lam.gcm
     roots = rootdata.positive_roots(sub).positive_roots
     n = sub.n
-    # symmetrizer d: d_i a_ij symmetric, solved along the Dynkin graph
-    d = [None] * n
-    graph = rootdata.DynkinGraph(sub)
-    for comp in graph.components():
-        seed = min(comp)
-        d[seed - 1] = Fraction(1)
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in graph.neighbours(i):
-                if d[j - 1] is None:
-                    d[j - 1] = d[i - 1] * sub.a[i - 1][j - 1] / sub.a[j - 1][i - 1]
-                    frontier.append(j)
-
-    def bil(u, v):
-        # (sum u_i alpha_i, sum v_j alpha_j), with (alpha_i, alpha_j) = d_i a_ij
-        return sum(
-            u[i] * v[j] * d[i] * sub.a[i][j] for i in range(n) for j in range(n)
-        )
+    # (alpha_i, alpha_j) = d_i a_ij; scaling d scales the numerator and the
+    # denominator of each multiplicity alike
+    d = rootdata.symmetrizer(sub)
 
     def mu_eval(c2, i):
         return sub_lam.evals[i] - sum(sub.a[i][k] * c2[k] for k in range(n))
 
-    mults = {tuple([0] * n): 1}
-    for ht in range(1, N + 1):
-        for c in depth_vectors(n, ht):
-            if sum(c) != ht:
-                continue
-            acc = Fraction(0)
-            for r in roots:
-                t = 1
-                while True:
-                    c2 = tuple(x - t * y for x, y in zip(c, r))
-                    if any(x < 0 for x in c2):
-                        break
-                    m = mults.get(c2, 0)
-                    if m:
-                        # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
-                        val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
-                        acc += 2 * m * val
-                    t += 1
-            # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c)
-            denom = 2 * sum(c[i] * d[i] * (sub_lam.evals[i] + 1) for i in range(n))
-            denom -= bil(c, c)
-            if denom == 0 or acc == 0:
-                continue
-            val = acc / denom
-            assert val.denominator == 1 and val >= 0
-            mults[tuple(c)] = int(val)
+    vectors = sorted(depth_vectors(n, N), key=sum)
+    mults = {vectors[0]: 1}
+    for c in vectors[1:]:
+        acc = 0
+        for r in roots:
+            t = 1
+            while True:
+                c2 = tuple(x - t * y for x, y in zip(c, r))
+                if any(x < 0 for x in c2):
+                    break
+                m = mults.get(c2, 0)
+                if m:
+                    # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
+                    val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
+                    acc += 2 * m * val
+                t += 1
+        # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c), which is
+        # sum_i c_i d_i (<lambda+rho, alpha_i^vee> + <mu+rho, alpha_i^vee>)
+        denom = sum(
+            c[i] * d[i] * (sub_lam.evals[i] + 2 + mu_eval(c, i)) for i in range(n)
+        )
+        if denom == 0 or acc == 0:
+            continue
+        val, rest = divmod(acc, denom)
+        assert rest == 0 and val >= 0
+        mults[c] = val
     return mults

@@ -10,12 +10,15 @@ sign together with the exponent vector of its monomial factor.
 
 import itertools
 
-from . import rootdata
 from .characters import shifted_partition_sum
-from .holes import minimalize
+from .holes import CapExceeded, minimalize
 from .weights import integrability, lambda_H
 from .weightsets import HovmSpec, weight_set
 from .weyl import hole_dot, order_of_hole_product
+
+# _build makes one level entry per subset of the k holes: 2^k of them, and
+# k 2^(k-1) differentials.
+_LEVEL_CAP = 2**12
 
 
 class Resolution:
@@ -74,6 +77,8 @@ def _build(lam, hole_list):
     """Shared constructor: levels lambda_H(union) and lcm-quotient factors."""
     gcm = lam.gcm
     k = len(hole_list)
+    if 2**k > _LEVEL_CAP:
+        raise CapExceeded(_LEVEL_CAP, 2**k)
     gens = [lambda_H(lam, H) for H in hole_list]
     idx = list(range(1, k + 1))
 
@@ -107,22 +112,17 @@ def _ordered_holes(holeset):
 
 def koszul_resolution(lam, holeset):
     """Setting 1: pairwise orthogonal holes (disjoint, no edges between)."""
-    graph = rootdata.DynkinGraph(lam.gcm)
     hs = _ordered_holes(holeset)
     for h1, h2 in itertools.combinations(hs, 2):
-        if h1 & h2 or any(graph.adjacent(a, b) for a in h1 for b in h2):
+        if h1 & h2 or any(lam.gcm.adjacent(a, b) for a in h1 for b in h2):
             raise ValueError("holes are not pairwise orthogonal")
-    for h in hs:
-        if not graph.is_independent(h):
-            raise ValueError("hole is not independent")
-    return _build(lam, hs)
+    return _build(lam, hs)  # lambda_H refuses a hole that is not independent
 
 
 def taylor_resolution(lam, holeset):
     """Setting 2: the integrable nodes form an independent set."""
-    graph = rootdata.DynkinGraph(lam.gcm)
     J = integrability(lam)
-    if not graph.is_independent(J):
+    if not lam.gcm.is_independent(J):
         raise ValueError("integrable nodes are not independent")
     if not holeset.support() <= J:
         raise ValueError("holes leave the integrable nodes")
@@ -232,8 +232,7 @@ def dihedral_candidate(lam, H1, H2, N):
 
     terms = [((-1) ** t, w) for t, entries in levels.items() for _, w in entries]
     char = shifted_partition_sum(gcm, terms, N)
-    graph = rootdata.DynkinGraph(gcm)
-    spec = HovmSpec(lam, minimalize(graph, integrability(lam), [H1, H2]))
+    spec = HovmSpec(lam, minimalize(gcm, integrability(lam), [H1, H2]))
     expected = weight_set(spec, N)
     nonneg = all(v >= 0 for v in char.coeffs.values())
     support_ok = char.support() == expected

@@ -1,24 +1,24 @@
-"""Generalized Cartan matrices, Dynkin graphs and finite root systems.
+"""Generalized Cartan matrices and finite root systems.
 
-Nodes are 1-based throughout.  A root (and more generally any weight
-displacement) is stored as a tuple of nonnegative integers: the
-coefficients on the simple roots.
+A GCM answers every structural question about its matrix: Dynkin
+adjacency (a[i][j] != 0), connected components, independent sets, and
+finite type, decided exactly as symmetrizable with a positive definite
+symmetrization (Kac, Infinite-dimensional Lie algebras, Ch. 4).  Nodes are
+1-based throughout.  A root (and more generally any weight displacement)
+is stored as a tuple of nonnegative integers: the coefficients on the
+simple roots.
 """
 
 import functools
 import itertools
+import math
 import re
-
-# Root generation is capped at this height; every finite root system of
-# rank <= 8 has highest root of height <= 29, so hitting the cap means
-# the matrix is not of finite type.
-_HEIGHT_CAP = 60
 
 
 class GCM:
     """A generalized Cartan matrix a[i][j] with 1-based node set I."""
 
-    __slots__ = ("n", "a")
+    __slots__ = ("n", "a", "_finite")
 
     def __init__(self, rows):
         a = tuple(tuple(int(x) for x in row) for row in rows)
@@ -36,6 +36,7 @@ class GCM:
                         raise ValueError("asymmetric zero pattern")
         self.n = n
         self.a = a
+        self._finite = None
 
     def __eq__(self, other):
         return isinstance(other, GCM) and self.a == other.a
@@ -52,57 +53,90 @@ class GCM:
 
     @property
     def finite_type(self):
-        return _finite_type(self)
+        """Symmetrizable, and every leading principal minor is positive.
+
+        With d a symmetrizer, A = D^-1 B for the symmetric B = DA, so the
+        minors of A have the signs of those of B (Sylvester's criterion).
+        Computed on first use and kept.
+        """
+        if self._finite is None:
+            self._finite = symmetrizer(self) is not None and _minors_positive(self.a)
+        return self._finite
 
     @property
     def is_sl2n(self):
         """No two nodes are joined: the algebra is sl2 x ... x sl2."""
-        n = self.n
-        return not any(self.a[i][j] for i in range(n) for j in range(n) if i != j)
-
-
-class DynkinGraph:
-    """Adjacency structure derived from a GCM."""
-
-    __slots__ = ("gcm", "edges")
-
-    def __init__(self, gcm):
-        self.gcm = gcm
-        self.edges = frozenset(
-            frozenset((i + 1, j + 1))
-            for i in range(gcm.n)
-            for j in range(i + 1, gcm.n)
-            if gcm.a[i][j] != 0
-        )
+        return self.is_independent(self.nodes)
 
     def adjacent(self, i, j):
-        return frozenset((i, j)) in self.edges
+        return i != j and self.a[i - 1][j - 1] != 0
 
     def neighbours(self, i):
-        return {j for j in self.gcm.nodes if j != i and self.adjacent(i, j)}
+        return {j for j in self.nodes if self.adjacent(i, j)}
 
     def is_independent(self, subset):
-        subset = sorted(subset)
-        return all(
-            not self.adjacent(i, j) for i, j in itertools.combinations(subset, 2)
-        )
+        return not any(self.adjacent(i, j) for i in subset for j in subset)
 
     def components(self, support=None):
         """Connected components of the induced subgraph on `support`."""
-        support = set(self.gcm.nodes if support is None else support)
+        support = set(self.nodes if support is None else support)
         comps = []
         while support:
-            seed = min(support)
-            comp, frontier = {seed}, {seed}
+            comp, frontier = set(), {min(support)}
             while frontier:
-                nxt = set()
-                for i in frontier:
-                    nxt |= self.neighbours(i) & support - comp
-                comp |= nxt
-                frontier = nxt
+                comp |= frontier
+                frontier = {j for i in frontier for j in self.neighbours(i)}
+                frontier &= support - comp
             comps.append(frozenset(comp))
             support -= comp
-        return sorted(comps, key=min)
+        return comps
+
+
+def symmetrizer(gcm):
+    """Positive integers d with d_i a_ij = d_j a_ji, or None when the matrix
+    is not symmetrizable.
+
+    Solved as d_j = d_i a_ij / a_ji along a spanning tree of each component
+    of the Dynkin graph.  Its root starts at the product of every nonzero
+    |a_ij|, i != j: a tree path divides by distinct entries only, so every
+    step is exact.  A cycle whose ratios disagree fails the final check.
+    """
+    n, a = gcm.n, gcm.a
+    top = math.prod(-x for i, row in enumerate(a) for j, x in enumerate(row) if x < 0)
+    d = [0] * n
+    for seed in range(n):
+        if d[seed]:
+            continue
+        d[seed] = top
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j != i and a[i][j] and not d[j]:
+                    d[j] = d[i] * a[i][j] // a[j][i]
+                    stack.append(j)
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(i)):
+        return None
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
+
+
+def _minors_positive(a):
+    """Every leading principal minor of the integer matrix a is positive.
+
+    Bareiss elimination, exact in integers: after step k the pivot m[k][k] is
+    the (k+1)th leading principal minor, and each division is exact.
+    """
+    m = [list(row) for row in a]
+    prev = 1
+    for k in range(len(m)):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return True
 
 
 class RootSystem:
@@ -209,65 +243,56 @@ def restrict(gcm, nodes):
 
 
 @functools.lru_cache(maxsize=None)
-def _generate_positive_roots(gcm):
-    """Reflection closure of the simple roots; None if the cap is hit."""
-    n = gcm.n
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = set(simple)
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for j in range(n):
-                ev = sum(gcm.a[j][i] * beta[i] for i in range(n))
-                img = list(beta)
-                img[j] -= ev
-                img = tuple(img)
-                if img in roots or any(x < 0 for x in img):
-                    continue
-                if sum(img) > _HEIGHT_CAP:
-                    return None
-                new.add(img)
-        roots |= new
-        frontier = new
-    return tuple(sorted(roots))
-
-
-def _finite_type(gcm):
-    return _generate_positive_roots(gcm) is not None
-
-
-@functools.lru_cache(maxsize=None)
 def positive_roots(gcm):
     """Complete positive-root data for a finite-type GCM; cached, so every
-    caller shares the returned RootSystem and must treat it as read-only."""
-    roots = _generate_positive_roots(gcm)
-    if roots is None:
+    caller shares the returned RootSystem and must treat it as read-only.
+
+    Upward reflection closure of the simple roots: every positive root but
+    a simple one is s_j beta for a lower positive root beta with
+    <beta, alpha_j^vee> < 0 (Humphreys, Lie algebras, 10.2).
+    """
+    if not gcm.finite_type:
         raise ValueError("not of finite type")
-    graph = DynkinGraph(gcm)
-    coxeter = {}
-    for comp in graph.components():
-        count = sum(
-            1 for r in roots if all(r[i - 1] == 0 for i in gcm.nodes if i not in comp)
-        )
+    n, a = gcm.n, gcm.a
+    cols = [[(k, a[k][j]) for k in range(n) if a[k][j]] for j in range(n)]
+    roots, coxeter = {}, {}
+    for comp in gcm.components():
+        # each root of the component -> its evaluations <beta, alpha_k^vee>
+        found = {
+            tuple(int(k == i - 1) for k in range(n)): [row[i - 1] for row in a]
+            for i in comp
+        }
+        frontier = list(found)
+        while frontier:
+            new = []
+            for beta in frontier:
+                ev = found[beta]
+                for j in [j for j, e in enumerate(ev) if e < 0]:
+                    img = beta[:j] + (beta[j] - ev[j],) + beta[j + 1:]
+                    if img not in found:
+                        found[img] = ev2 = ev[:]
+                        for k, x in cols[j]:
+                            ev2[k] -= ev[j] * x
+                        new.append(img)
+            frontier = new
         # |positive roots| = h * rank / 2 for each irreducible component
-        assert (2 * count) % len(comp) == 0
-        coxeter[comp] = 2 * count // len(comp)
-    return RootSystem(gcm, roots, coxeter)
+        coxeter[comp] = 2 * len(found) // len(comp)
+        roots.update(found)
+    return RootSystem(gcm, tuple(sorted(roots)), coxeter)
 
 
-def independent_sets(graph, support, include_empty=False):
+def independent_sets(gcm, support, include_empty=False):
     """All edgeless subsets of `support`, smallest first.
 
     The empty set is included exactly when `include_empty` is set; both
     conventions are in live use by callers.
     """
     support = sorted(set(support))
-    if any(i not in graph.gcm.nodes for i in support):
+    if any(i not in gcm.nodes for i in support):
         raise ValueError("support is not a subset of the node set")
     out = []
     for size in range(0 if include_empty else 1, len(support) + 1):
         for combo in itertools.combinations(support, size):
-            if graph.is_independent(combo):
+            if gcm.is_independent(combo):
                 out.append(frozenset(combo))
     return out

@@ -12,6 +12,7 @@ from . import rootdata
 from .cat_o import (
     build_block,
     jh_multiplicity,
+    kl_bases,
     kl_weight_of_index,
     reciprocity_table,
     simples_in_block,
@@ -47,21 +48,20 @@ def random_weight(rng, gcm, lo=-1, hi=3, nonint_prob=0.2):
     return HighestWeight(gcm, evals)
 
 
-def random_holeset(rng, graph, context, max_holes=3):
-    candidates = rootdata.independent_sets(graph, context)
+def random_holeset(rng, gcm, context, max_holes=3):
+    candidates = rootdata.independent_sets(gcm, context)
     if not candidates:
         return HoleSet(context, [])
     count = rng.randint(0, min(max_holes, len(candidates)))
     picks = rng.sample(candidates, count)
-    return minimalize(graph, context, picks)
+    return minimalize(gcm, context, picks)
 
 
 def random_sl2n_spec(rng):
     n = rng.choice([2, 3, 4])
     gcm = rootdata.parse_gcm("A1^%d" % n)
     lam = random_weight(rng, gcm)
-    graph = rootdata.DynkinGraph(gcm)
-    holes = random_holeset(rng, graph, integrability(lam))
+    holes = random_holeset(rng, gcm, integrability(lam))
     return HovmSpec(lam, holes)
 
 
@@ -139,8 +139,7 @@ def random_blockholes(rng, max_n=3):
     gcm = rootdata.parse_gcm("A1^%d" % n)
     lam = random_weight(rng, gcm, lo=-4, hi=3)
     block = build_block(lam)
-    graph = rootdata.DynkinGraph(gcm)
-    holes = random_holeset(rng, graph, frozenset(gcm.nodes))
+    holes = random_holeset(rng, gcm, frozenset(gcm.nodes))
     return simples_in_block(block, holes)
 
 
@@ -205,8 +204,6 @@ def suite_kl(seed, trials):
         block = bh.block
         N = block.cutoff()
         index = sorted(bh.kl_index(), key=lambda s: (len(s), sorted(s)))
-        from .cat_o import kl_bases
-
         bases = kl_bases(bh)
         for K in index:
             for K2 in index:

@@ -107,7 +107,7 @@ def dot_reflect(lam, c, j):
     return tuple(out)
 
 
-def lambda_H(lam, H, graph=None):
+def lambda_H(lam, H):
     """Depth vector of lambda_H: c_h = <lambda,alpha_h^vee>+1 on the hole H.
 
     Equals (prod_{h in H} s_h) . lambda since H is independent.
@@ -115,7 +115,7 @@ def lambda_H(lam, H, graph=None):
     J = integrability(lam)
     if not set(H) <= J:
         raise ValueError("hole is not contained in the integrable nodes")
-    if graph is not None and not graph.is_independent(H):
+    if not lam.gcm.is_independent(H):
         raise ValueError("hole is not independent")
     c = [0] * lam.gcm.n
     for h in H:

@@ -17,7 +17,7 @@ from .characters import (
     shifted_partition_sum,
     simple_finite_char,
 )
-from .holes import HoleSet, minimalize, transversals
+from .holes import CapExceeded, HoleSet, minimalize, transversals
 from .weights import (
     HighestWeight,
     add_vectors,
@@ -29,6 +29,10 @@ from .weights import (
     is_nonneg_int,
     lambda_H,
 )
+
+# inclusion_exclusion_char sums one dot orbit per nonempty set of minimal
+# transversals: 2^t - 1 of them for t transversals.
+_IE_TERM_CAP = 2**10 - 1
 
 
 class HovmSpec:
@@ -42,9 +46,8 @@ class HovmSpec:
         J = integrability(lam)
         if not holeset.context <= J:
             raise ValueError("hole context leaves the integrable nodes")
-        graph = rootdata.DynkinGraph(self.gcm)
         for h in holeset.min_holes:
-            if not graph.is_independent(h):
+            if not self.gcm.is_independent(h):
                 raise ValueError("hole is not independent")
         self.holes = holeset
         self._transversals = None
@@ -59,8 +62,7 @@ class HovmSpec:
 
 
 def spec_from_sets(lam, sets):
-    graph = rootdata.DynkinGraph(lam.gcm)
-    return HovmSpec(lam, minimalize(graph, integrability(lam), sets))
+    return HovmSpec(lam, minimalize(lam.gcm, integrability(lam), sets))
 
 
 def _levi(lam, J):
@@ -254,10 +256,9 @@ def psi_k(spec, k, N):
         return set()
     if not spec.holes.min_holes:
         return weight_set(spec, N)
-    graph = rootdata.DynkinGraph(spec.gcm)
     out = set()
     for fam in holes_mod.admissible_sets(spec.holes, k):
-        sub = HovmSpec(spec.lam, minimalize(graph, spec.holes.context, fam))
+        sub = HovmSpec(spec.lam, minimalize(spec.gcm, spec.holes.context, fam))
         out |= weight_set(sub, N)
     return out
 
@@ -265,12 +266,11 @@ def psi_k(spec, k, N):
 def psi_separating_weight(lam, holeset1, holeset2):
     """A depth vector on which the weight sets of the two hole antichains
     differ: lambda_H for a minimal H in the symmetric difference of closures."""
-    graph = rootdata.DynkinGraph(lam.gcm)
     J = integrability(lam)
     diff = []
-    for H in rootdata.independent_sets(graph, J, include_empty=False):
-        m1 = holes_mod.closure_member(graph, holeset1, H)
-        m2 = holes_mod.closure_member(graph, holeset2, H)
+    for H in rootdata.independent_sets(lam.gcm, J, include_empty=False):
+        m1 = holes_mod.closure_member(lam.gcm, holeset1, H)
+        m2 = holes_mod.closure_member(lam.gcm, holeset2, H)
         if m1 != m2:
             diff.append(H)
     if not diff:
@@ -309,6 +309,8 @@ def inclusion_exclusion_char(spec, N):
     if spec.is_zero():
         return FormalCharacter(N, {})
     ts = spec.min_transversals()
+    if 2 ** len(ts) - 1 > _IE_TERM_CAP:
+        raise CapExceeded(_IE_TERM_CAP, 2 ** len(ts) - 1)
     terms = []
     for size in range(1, len(ts) + 1):
         for S in itertools.combinations(ts, size):

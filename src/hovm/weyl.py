@@ -31,12 +31,11 @@ def order_of_hole_product(gcm, holes, method="lcm_formula"):
     w = 1 (Humphreys, Lie algebras, 10.3).  Both need the union of the holes
     to span a Levi subalgebra of finite type.
     """
-    graph = rootdata.DynkinGraph(gcm)
     holes = [frozenset(H) for H in holes]
     for idx, H in enumerate(holes):
         if not H <= set(gcm.nodes):
             raise ValueError("hole node outside the node set")
-        if not graph.is_independent(H):
+        if not gcm.is_independent(H):
             raise ValueError("hole is not independent")
         for H2 in holes[idx + 1:]:
             if H & H2:

@@ -32,7 +32,7 @@ from hovm.resolutions import (
     taylor_resolution,
     verify_complex,
 )
-from hovm.rootdata import DynkinGraph, independent_sets, parse_gcm
+from hovm.rootdata import independent_sets, parse_gcm
 from hovm.verify import random_sl2n_spec, random_weight
 from hovm.weights import HighestWeight, depth_vectors, integrability
 from hovm.weightsets import (
@@ -77,8 +77,7 @@ def test_criterion_2_sl5_rank4_suite():
     g = parse_gcm("A4")
     lam = HighestWeight(g, [1, 0, 0, -1])
     ok = integrability(lam) == {1, 2, 3}
-    graph = DynkinGraph(g)
-    indep = independent_sets(graph, integrability(lam))
+    indep = independent_sets(g, integrability(lam))
     ok = ok and sorted(map(sorted, indep)) == [[1], [1, 3], [2], [3]]
     spec = spec_from_sets(lam, [{2}, {1, 3}])
     ws = weight_set(spec, 10)
@@ -141,16 +140,15 @@ def _orthogonal_instances(names, trials, seed):
     out = []
     while len(out) < trials:
         g = parse_gcm(rng.choice(names))
-        graph = DynkinGraph(g)
         lam = random_weight(rng, g, nonint_prob=0.15)
         J = integrability(lam)
-        candidates = independent_sets(graph, J)
+        candidates = independent_sets(g, J)
         rng.shuffle(candidates)
         holes = []
         for h in candidates:
             if all(
                 not (h & h2)
-                and not any(graph.adjacent(a, b) for a in h for b in h2)
+                and not any(g.adjacent(a, b) for a in h for b in h2)
                 for h2 in holes
             ):
                 holes.append(h)
@@ -158,7 +156,7 @@ def _orthogonal_instances(names, trials, seed):
                 break
         if not holes:
             continue
-        out.append((lam, minimalize(graph, J, holes)))
+        out.append((lam, minimalize(g, J, holes)))
     return out
 
 
@@ -325,8 +323,7 @@ def test_criterion_9_coxeter_order():
     ok = True
     for name in ["A1", "A2", "A3", "A4", "A5", "A6", "D4"]:
         g = parse_gcm(name)
-        graph = DynkinGraph(g)
-        indep = independent_sets(graph, set(g.nodes))
+        indep = independent_sets(g, set(g.nodes))
         for k in (2, 3):
             for combo in itertools.combinations(indep, k):
                 if any(a & b for a, b in itertools.combinations(combo, 2)):

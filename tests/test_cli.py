@@ -59,6 +59,53 @@ def test_order_product_example(capsys, tmp_path):
     assert json.loads(out) == {"order": 6}
 
 
+def test_order_product_without_holes(capsys, tmp_path):
+    # the empty product restricts to the 0x0 matrix, which is of finite type
+    code, out = run(capsys, ["order-product"], {"algebra": "A1", "holes": []}, tmp_path)
+    assert code == 0
+    assert json.loads(out) == {"order": 1}
+
+
+def test_koszul_on_a61(capsys, tmp_path):
+    # A_n is of finite type for every n: no root-height cap refuses A61
+    payload = {"algebra": "A61", "lambda": [0] + ["x"] * 60, "holes": [[1]], "N": 2}
+    code, out = run(capsys, ["char", "--method", "koszul"], payload, tmp_path)
+    assert code == 0
+    mults = {tuple(t["depth"]): t["mult"] for t in json.loads(out)["char"]["terms"]}
+
+    def e(*nodes):
+        return tuple(nodes.count(i) for i in range(1, 62))
+
+    assert mults[e()] == 1 and e(1) not in mults and mults[e(1, 2)] == 1
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("enumerated past the cap")
+
+
+@pytest.mark.parametrize(
+    "argv,payload,builder",
+    [
+        # 16 minimal transversals: 2^16 - 1 inclusion-exclusion terms
+        (["char", "--method", "inclusion-exclusion"],
+         {"algebra": "A1^8", "lambda": [0] * 8,
+          "holes": [[1, 2], [3, 4], [5, 6], [7, 8]], "N": 4},
+         "hovm.weightsets.dot_orbit_terms"),
+        # 16 holes: 2^16 Koszul levels
+        (["char", "--method", "koszul"],
+         {"algebra": "A1^16", "lambda": [0] * 16,
+          "holes": [[i] for i in range(1, 17)], "N": 4},
+         "hovm.resolutions.lambda_H"),
+    ],
+)
+def test_enumeration_caps(capsys, tmp_path, monkeypatch, argv, payload, builder):
+    # refused with exit 2 before a single term or level is built
+    monkeypatch.setattr(builder, _never)
+    code, out = run(capsys, argv, payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"].startswith("enumeration cap")
+
+
 def test_verify_zero_trials(capsys):
     code, out = run(capsys, ["verify", "--suite", "weights", "--trials", "0"])
     assert code == 0
@@ -392,6 +439,16 @@ def test_import_loads_only_the_core():
         "hovm", "hovm.characters", "hovm.holes", "hovm.rootdata", "hovm.weights",
         "hovm.weightsets",
     ]
+
+
+def test_cli_import_loads_no_fractions():
+    # every CLI start pays for its imports; the oracles work in integers
+    code = "import sys, hovm.cli\nprint('fractions' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 DEMOS = sorted((pathlib.Path(SRC).parent / "demos").glob("*.py"))

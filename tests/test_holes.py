@@ -15,11 +15,10 @@ from hovm.holes import (
     transversals,
     upper_closure,
 )
-from hovm.rootdata import DynkinGraph, parse_gcm
+from hovm.rootdata import parse_gcm
 from hovm.weights import HighestWeight
 
 SL23 = parse_gcm("A1^3")
-G3 = DynkinGraph(SL23)
 TRIANGLE = HoleSet({1, 2, 3}, [{1, 2}, {2, 3}, {1, 3}])
 
 
@@ -36,18 +35,18 @@ def test_holeset_canonical():
 
 
 def test_minimalize():
-    hs = minimalize(G3, {1, 2, 3}, [{1, 2}, {1, 2, 3}, {3}])
+    hs = minimalize(SL23, {1, 2, 3}, [{1, 2}, {1, 2, 3}, {3}])
     assert hs.min_holes == (frozenset({1, 2}), frozenset({3}))
-    a3 = DynkinGraph(parse_gcm("A3"))
+    a3 = parse_gcm("A3")
     with pytest.raises(ValueError):
         minimalize(a3, {1, 2, 3}, [{1, 2}])  # adjacent nodes
 
 
 def test_closure_member():
-    assert closure_member(G3, TRIANGLE, {1, 2, 3})
-    assert closure_member(G3, TRIANGLE, {1, 2})
-    assert not closure_member(G3, TRIANGLE, {1})
-    assert not closure_member(G3, TRIANGLE, {1, 4})
+    assert closure_member(SL23, TRIANGLE, {1, 2, 3})
+    assert closure_member(SL23, TRIANGLE, {1, 2})
+    assert not closure_member(SL23, TRIANGLE, {1})
+    assert not closure_member(SL23, TRIANGLE, {1, 4})
 
 
 def test_transversals_triangle():
@@ -92,25 +91,25 @@ def test_admissible_sets():
 
 def test_h_prime():
     lam = HighestWeight(SL23, [0, -2, 0])  # J = {1, 3}
-    hp = h_prime(G3, lam, [frozenset({1, 2}), frozenset({3})])
+    hp = h_prime(lam, [frozenset({1, 2}), frozenset({3})])
     assert hp.min_holes == (frozenset({1}), frozenset({3}))
-    assert h_prime(G3, lam, [frozenset({2})]) is ZERO
+    assert h_prime(lam, [frozenset({2})]) is ZERO
 
 
 def test_order_k_truncations():
     j = frozenset({1, 2, 3})
-    upper, lower = order_k_truncations(G3, TRIANGLE, 1, j)
+    upper, lower = order_k_truncations(SL23, TRIANGLE, 1, j)
     assert upper.min_holes == ()
     # lower adds every independent 2-subset (none contain a size-<=1 hole)
     assert lower.min_holes == TRIANGLE.min_holes
-    upper2, lower2 = order_k_truncations(G3, TRIANGLE, 2, j)
+    upper2, lower2 = order_k_truncations(SL23, TRIANGLE, 2, j)
     assert upper2 == TRIANGLE
     assert lower2 == TRIANGLE  # the 3-subset contains a minimal hole
-    upper0, lower0 = order_k_truncations(G3, TRIANGLE, 0, j)
+    upper0, lower0 = order_k_truncations(SL23, TRIANGLE, 0, j)
     assert upper0.min_holes == ()
     assert lower0.min_holes == (frozenset({1}), frozenset({2}), frozenset({3}))
 
 
 def test_upper_closure():
-    members = upper_closure(G3, TRIANGLE)
+    members = upper_closure(SL23, TRIANGLE)
     assert sorted(sorted(m) for m in members) == [[1, 2], [1, 2, 3], [1, 3], [2, 3]]

@@ -46,6 +46,8 @@ def test_koszul_rejects_non_orthogonal():
     with pytest.raises(ValueError):
         # adjacent holes {1} and {2} are not orthogonal
         koszul_resolution(a3, HoleSet({1, 2, 3}, [{1}, {2}]))
+    with pytest.raises(ValueError, match="hole is not independent"):
+        koszul_resolution(a3, HoleSet({1, 2, 3}, [{1, 2}]))
 
 
 def test_koszul_square_a3():

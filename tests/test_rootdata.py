@@ -1,7 +1,16 @@
+import random
+
 import pytest
 
 from hovm import rootdata
-from hovm.rootdata import DynkinGraph, GCM, independent_sets, parse_gcm, positive_roots
+from hovm.rootdata import (
+    GCM,
+    independent_sets,
+    parse_gcm,
+    positive_roots,
+    restrict,
+    symmetrizer,
+)
 
 
 def test_parse_named_types():
@@ -44,10 +53,9 @@ def test_bcfg_conventions():
 
 def test_e_series_numbering():
     e6 = parse_gcm("E6")
-    graph = DynkinGraph(e6)
     # node 2 is the branch node target: attached to node 4 only
-    assert graph.neighbours(2) == {4}
-    assert graph.neighbours(4) == {2, 3, 5}
+    assert e6.neighbours(2) == {4}
+    assert e6.neighbours(4) == {2, 3, 5}
 
 
 POSITIVE_ROOT_COUNTS = {
@@ -98,20 +106,125 @@ def test_finite_type_flag():
 
 def test_independent_sets():
     g = parse_gcm("A3")
-    graph = DynkinGraph(g)
-    got = independent_sets(graph, {1, 2, 3})
+    got = independent_sets(g, {1, 2, 3})
     assert got == [
         frozenset({1}),
         frozenset({2}),
         frozenset({3}),
         frozenset({1, 3}),
     ]
-    assert independent_sets(graph, {1, 2, 3}, include_empty=True)[0] == frozenset()
+    assert independent_sets(g, {1, 2, 3}, include_empty=True)[0] == frozenset()
     with pytest.raises(ValueError):
-        independent_sets(graph, {1, 5})
+        independent_sets(g, {1, 5})
 
 
 def test_components():
-    graph = DynkinGraph(parse_gcm("A2xA1"))
-    assert graph.components() == [frozenset({1, 2}), frozenset({3})]
-    assert graph.components({1, 3}) == [frozenset({1}), frozenset({3})]
+    g = parse_gcm("A2xA1")
+    assert g.components() == [frozenset({1, 2}), frozenset({3})]
+    assert g.components({1, 3}) == [frozenset({1}), frozenset({3})]
+
+
+def _capped_closure_finite(gcm, cap=60):
+    """Finite type by brute force, independent of the minors: the reflection
+    closure of the simple roots stays below height `cap` (every finite root
+    system of rank <= 8 has highest root of height <= 29)."""
+    n = gcm.n
+    roots = frontier = {tuple(int(k == i) for k in range(n)) for i in range(n)}
+    while frontier:
+        new = set()
+        for beta in frontier:
+            for j in range(n):
+                ev = sum(gcm.a[j][i] * beta[i] for i in range(n))
+                img = beta[:j] + (beta[j] - ev,) + beta[j + 1:]
+                if img in roots or min(img) < 0:
+                    continue
+                if sum(img) > cap:
+                    return False
+                new.add(img)
+        roots = roots | new
+        frontier = new
+    return True
+
+
+NAMED = (
+    ["A%d" % n for n in range(1, 9)]
+    + ["%s%d" % (x, n) for x in "BC" for n in range(2, 9)]
+    + ["D%d" % n for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A2xB2", "A1^3", "G2xC3"]
+)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_types_are_finite(name):
+    g = parse_gcm(name)
+    assert g.finite_type and _capped_closure_finite(g)
+
+
+def _random_gcm(rng):
+    n = rng.randint(2, 5)
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                a[i][j] = -rng.choice([1, 1, 1, 2, 3])
+                a[j][i] = -rng.choice([1, 1, 1, 2, 3])
+    return GCM(a)
+
+
+def test_finite_type_agrees_with_closure():
+    rng = random.Random(11)
+    finite = 0
+    for _ in range(2000):
+        g = _random_gcm(rng)
+        assert g.finite_type == _capped_closure_finite(g), g
+        finite += g.finite_type
+    # both verdicts are well represented
+    assert 600 < finite < 1400
+
+
+@pytest.mark.parametrize("n", [61, 100])
+def test_long_type_a_is_finite(n):
+    g = parse_gcm("A%d" % n)
+    assert g.finite_type
+    rs = positive_roots(g)
+    assert len(rs.positive_roots) == n * (n + 1) // 2
+    assert list(rs.coxeter_numbers.values()) == [n + 1]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, -2], [-2, 2]],
+        [[2, -3], [-3, 2]],
+        [[2, -1], [-4, 2]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    ],
+)
+def test_not_finite(rows):
+    g = GCM(rows)
+    assert not g.finite_type
+    with pytest.raises(ValueError, match="not of finite type"):
+        positive_roots(g)
+
+
+def test_empty_restriction_is_finite():
+    g = restrict(parse_gcm("A3"), [])
+    assert g.n == 0 and g.finite_type
+    rs = positive_roots(g)
+    assert rs.positive_roots == () and rs.coxeter_numbers == {}
+
+
+def test_symmetrizer():
+    assert symmetrizer(parse_gcm("B2")) == (1, 2)
+    assert symmetrizer(parse_gcm("G2")) == (3, 1)
+    assert symmetrizer(parse_gcm("F4")) == (1, 1, 2, 2)
+    assert symmetrizer(parse_gcm("A2xB2")) == (1, 1, 1, 2)
+    # a triangle whose ratios multiply to 2 around the cycle
+    assert symmetrizer(GCM([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])) is None
+    for name in NAMED:
+        g = parse_gcm(name)
+        d = symmetrizer(g)
+        assert min(d) > 0
+        assert all(
+            d[i] * g.a[i][j] == d[j] * g.a[j][i] for i in range(g.n) for j in range(g.n)
+        )

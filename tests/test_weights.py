@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hovm.rootdata import DynkinGraph, parse_gcm
+from hovm.rootdata import parse_gcm
 from hovm.weights import (
     HighestWeight,
     NONINT,
@@ -67,7 +67,7 @@ def test_lambda_H():
     with pytest.raises(ValueError):
         lambda_H(HighestWeight(SL22, [-1, 0]), {1})
     with pytest.raises(ValueError):
-        lambda_H(HighestWeight(A2, [1, 1]), {1, 2}, graph=DynkinGraph(A2))
+        lambda_H(HighestWeight(A2, [1, 1]), {1, 2})
 
 
 def test_dominant_conjugate_sl2():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hovm.holes import HoleSet
 from hovm.oracle import oracle_module, oracle_weights
-from hovm.rootdata import DynkinGraph, independent_sets, parse_gcm
+from hovm.rootdata import independent_sets, parse_gcm
 from hovm.verify import random_sl2n_spec
 from hovm.weights import HighestWeight, depth_vectors, eval_at, integrability
 from hovm.weightsets import (
@@ -102,7 +102,6 @@ def test_pvm_weight_set_matches_walk():
     empty_J = nonint = negative = 0
     for name, top in SET_TYPES:
         g = parse_gcm(name)
-        graph = DynkinGraph(g)
         for _ in range(34):
             evals = [rng.choice([-2, -1, 0, 0, 1, 2, 3, "x"]) for _ in range(g.n)]
             lam = HighestWeight(g, evals)
@@ -112,7 +111,7 @@ def test_pvm_weight_set_matches_walk():
             vectors = list(depth_vectors(g.n, N))
             walk = {c for c in vectors if _unbounded_walk_member(lam, J, c)}
             assert pvm_weight_set(lam, J, N) == walk, (name, evals, J, N)
-            indep = independent_sets(graph, J_lam)
+            indep = independent_sets(g, J_lam)
             holes = rng.sample(indep, min(len(indep), rng.randint(0, 3)))
             spec = spec_from_sets(lam, holes)
             if spec.holes.min_holes:
@@ -265,11 +264,10 @@ def test_psi_separating_weight_separates():
     separated = agreed = 0
     for name in PSI_TYPES:
         g = parse_gcm(name)
-        graph = DynkinGraph(g)
         for _ in range(30):
             lam = HighestWeight(g, [rng.choice([0, 0, 1, 2, -1, "x"]) for _ in g.nodes])
             J = integrability(lam)
-            indep = independent_sets(graph, J)
+            indep = independent_sets(g, J)
             if not indep:
                 continue
             sets1 = rng.sample(indep, rng.randint(0, min(3, len(indep))))

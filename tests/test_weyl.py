@@ -6,7 +6,7 @@ import pytest
 from hovm.characters import dot_orbit_terms
 from hovm.holes import HoleSet
 from hovm.resolutions import taylor_resolution
-from hovm.rootdata import DynkinGraph, independent_sets, parse_gcm
+from hovm.rootdata import independent_sets, parse_gcm
 from hovm.weights import HighestWeight, depth_vectors, lambda_H
 from hovm.weyl import hole_dot, order_of_hole_product
 
@@ -63,7 +63,7 @@ def test_lambda_H_is_hole_dot(name):
     g = parse_gcm(name)
     rng = random.Random(name)
     zero = (0,) * g.n
-    for H in independent_sets(DynkinGraph(g), g.nodes):
+    for H in independent_sets(g, g.nodes):
         lam = HighestWeight(g, [rng.randint(0, 4) for _ in g.nodes])
         assert lambda_H(lam, H) == hole_dot(lam, zero, H)
 
@@ -77,11 +77,10 @@ def test_order_of_hole_product_sl5():
 
 def _bipartition(g):
     """The two colour classes of a connected Dynkin diagram."""
-    graph = DynkinGraph(g)
     colour = {1: 0}
     while len(colour) < g.n:
         for i, j in itertools.permutations(g.nodes, 2):
-            if i in colour and j not in colour and graph.adjacent(i, j):
+            if i in colour and j not in colour and g.adjacent(i, j):
                 colour[j] = 1 - colour[i]
     return [{i for i in g.nodes if colour[i] == side} for side in (0, 1)]
 
@@ -89,12 +88,11 @@ def _bipartition(g):
 def test_order_lcm_equals_direct():
     for name in ["A3", "A4", "D4", "F4", "E6", "E7", "E8"]:
         g = parse_gcm(name)
-        graph = DynkinGraph(g)
         indep = [
             frozenset(s)
             for size in (1, 2)
             for s in itertools.combinations(g.nodes, size)
-            if graph.is_independent(s)
+            if g.is_independent(s)
         ]
         for h1, h2 in itertools.combinations(indep, 2):
             if h1 & h2:
