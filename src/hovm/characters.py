@@ -6,6 +6,15 @@ computational engine is a dense table of the Kostant partition function,
 ch M(0), kept per GCM; Verma, parabolic Verma and finite-dimensional
 simple characters, and the Euler characters of the resolutions, are
 signed sums of its shifts (shifted_partition_sum).
+
+The engine adds depth vectors as integers.  Below a cut T, the code
+sum_i c_i (T+1)^(i-1) of a vector of height <= T has no digit above T, so
+two vectors whose heights sum to at most T add without a carry: vector
+addition is integer addition.  One index per rank holds every vector of
+height <= T in order of height with its code; the table and the shifted
+sums run on codes and decode once at the end.  Weight sets do not use it:
+they are sparse in that simplex, and walking the full index cost more
+than the tuple sums it saved.
 """
 
 import itertools
@@ -22,8 +31,10 @@ from .weights import (
     integrability,
 )
 
-# One truncated ch M(0) per GCM, replaced only by a taller one.
+# One truncated ch M(0) per GCM and one code index per rank, each replaced
+# only by a taller one.
 _tables = {}
+_indexes = {}
 
 
 class FormalCharacter:
@@ -74,29 +85,57 @@ class FormalCharacter:
         }
 
 
+class _Index:
+    """The depth vectors of rank n and height <= cutoff in order of height
+    (lexicographic within a height), their codes sum_i c_i (cutoff+1)^(i-1),
+    the map from code back to vector, and upto[h] = C(h+n, n), the number of
+    vectors of height <= h.  A taller index extends the same order, so a
+    table laid out on a shorter one stays aligned with it."""
+
+    __slots__ = ("cutoff", "vectors", "codes", "decode", "upto", "powers")
+
+    def __init__(self, n, cutoff):
+        self.cutoff = cutoff
+        self.powers = [(cutoff + 1) ** i for i in range(n)]
+        self.vectors = sorted(depth_vectors(n, cutoff), key=height)
+        self.codes = [self.encode(c) for c in self.vectors]
+        self.decode = dict(zip(self.codes, self.vectors))
+        self.upto = [math.comb(h + n, n) for h in range(cutoff + 1)]
+
+    def encode(self, c):
+        return sum(map(operator.mul, c, self.powers))
+
+
+def _index(n, N):
+    index = _indexes.get(n)
+    if index is None or index.cutoff < N:
+        index = _indexes[n] = _Index(n, max(N, 0))
+    return index
+
+
 def partition_table(gcm, N):
     """ch M(0) = prod_{beta>0} 1/(1-e^{-beta}) up to height >= N: at depth c,
     the Kostant partition function of c (Humphreys, BGG category O, 1.16).
 
-    Coin change: one pass per positive root of height <= N over the depth
-    vectors in order of height, the order of the keys too.  Kept per GCM,
-    rebuilt only for a taller N; callers must not mutate it.
+    Coin change on codes: one pass per positive root beta of height <= N,
+    counts[i + code(beta)] += counts[i] over the codes i of height
+    <= N - |beta| in order of height, the order of the keys too.  Kept per
+    GCM, rebuilt only for a taller N; callers must not mutate it.
     """
     table = _tables.get(gcm)
     if table is not None and table.cutoff >= N:
         return table
     N = max(N, 0)
-    vectors = sorted(depth_vectors(gcm.n, N), key=height)
-    counts = dict.fromkeys(vectors, 0)
-    counts[vectors[0]] = 1
+    index = _index(gcm.n, N)
+    counts = dict.fromkeys(index.codes[: index.upto[N]], 0)
+    counts[0] = 1
     for beta in rootdata.positive_roots(gcm).positive_roots:
         if height(beta) > N:
             continue
-        for c in vectors:
-            rest = tuple(map(operator.sub, c, beta))
-            if min(rest) >= 0:
-                counts[c] += counts[rest]
-    table = _tables[gcm] = FormalCharacter(N, counts)
+        step = index.encode(beta)
+        for i in index.codes[: index.upto[N - height(beta)]]:
+            counts[i + step] += counts[i]
+    table = _tables[gcm] = FormalCharacter(N, dict(zip(index.vectors, counts.values())))
     return table
 
 
@@ -112,22 +151,29 @@ def shifted_partition_sum(gcm, terms, N):
 
     Every character here is such a sum: d runs over dot-orbit or
     resolution weights, which are depth vectors (d >= 0) below lambda.
+    Summed on codes into an int-keyed map, decoded once.
     """
     numerator = {}
     for sign, d in terms:
         if height(d) <= N:
             numerator[d] = numerator.get(d, 0) + sign
     table = partition_table(gcm, N).coeffs
+    index = _index(gcm.n, N)
     coeffs = {}
     for d, sign in numerator.items():
+        if not sign:
+            continue
+        shift = index.encode(d)
         # every depth vector has a partition, so the table's first
-        # C(room + n, n) keys are exactly those of height <= room
-        room = N - height(d)
-        prefix = itertools.islice(table.items(), math.comb(room + gcm.n, gcm.n))
+        # upto[room] values are exactly those of height <= room
+        prefix = itertools.islice(
+            zip(index.codes, table.values()), index.upto[N - height(d)]
+        )
         for c, m in prefix:
-            c = tuple(map(operator.add, c, d))
+            c += shift
             coeffs[c] = coeffs.get(c, 0) + sign * m
-    return FormalCharacter(N, coeffs)
+    decode = index.decode
+    return FormalCharacter(N, {decode[c]: m for c, m in coeffs.items()})
 
 
 def dot_orbit_terms(lam, J, N):

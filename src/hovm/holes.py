@@ -110,25 +110,30 @@ def closure_member(gcm, holeset, H):
 def transversals(holeset, cap=10**4):
     """All inclusion-minimal hitting sets of the minimal holes.
 
-    Branch-and-bound over the support, one hole at a time, pruning any
-    partial set dominated by an already-complete smaller one.
+    Branch-and-bound over the support, one hole at a time.  The frontier is
+    an antichain, so of the sets after a hole only an extension p | {v} of a
+    set p missing the hole can be dominated, and only by a kept set (one
+    that hit the hole already) containing v; those are looked up by element.
     """
     if holeset.is_zero():
         raise ZeroModuleError("the empty hole makes the module zero")
     holes = sorted(holeset.min_holes, key=lambda h: (len(h), sorted(h)))
     partial = [frozenset()]
     for hole in holes:
-        nxt = set()
+        nxt, kept = set(), set()
         for p in partial:
             if p & hole:
                 nxt.add(p)
+                kept.add(p)
             else:
-                for v in sorted(hole):
-                    nxt.add(p | {v})
+                nxt.update(p | {v} for v in sorted(hole))
             if len(nxt) > cap:
                 raise CapExceeded(cap, len(nxt))
-        # domination pruning keeps the frontier an antichain
-        partial = [p for p in nxt if not any(q < p for q in nxt)]
+        by_node = {v: [p for p in kept if v in p] for v in hole}
+        partial = [
+            q for q in nxt
+            if q in kept or not any(p < q for v in q & hole for p in by_node[v])
+        ]
     return sorted(partial, key=lambda p: (len(p), sorted(p)))
 
 

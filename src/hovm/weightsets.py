@@ -7,7 +7,9 @@ admissible-set and category-O reformulations are kept as independent
 code paths so they can be cross-checked against each other.
 """
 
+import bisect
 import itertools
+import operator
 
 from . import holes as holes_mod
 from . import rootdata
@@ -33,6 +35,8 @@ from .weights import (
 # inclusion_exclusion_char sums one dot orbit per nonempty set of minimal
 # transversals: 2^t - 1 of them for t transversals.
 _IE_TERM_CAP = 2**10 - 1
+# altwts_check runs over every subset K of J_lambda: 2^|J_lambda| of them.
+_ALT_SUBSET_CAP = 2**12
 
 
 class HovmSpec:
@@ -165,13 +169,16 @@ def pvm_weight_set(lam, J, N):
     """
     J, n = _levi(lam, J), lam.gcm.n
     K = [i for i in lam.gcm.nodes if i not in J]
+    a = lam.gcm.a
+    # nu_j = lambda_j - sum_{k in K} a_jk c_k, since the depth off J is 0 on J
+    rows = [(lam.evals[j - 1], [a[j - 1][k - 1] for k in K]) for j in J]
     slices, out = {}, set()
     for c_K in sorted(depth_vectors(len(K), N), key=height):
         room = N - height(c_K)
         off_J = embed(n, K, c_K)
-        nu = tuple(eval_at(lam, off_J, j) for j in J)
+        nu = tuple(e - sum(map(operator.mul, row, c_K)) for e, row in rows)
         if nu not in slices:
-            found = _levi_weights(lam.gcm.a, J, nu, room)
+            found = _levi_weights(a, J, nu, room)
             slices[nu] = sorted((height(d), embed(n, J, d)) for d in found)
         for h, d in slices[nu]:
             if h > room:
@@ -181,15 +188,32 @@ def pvm_weight_set(lam, J, N):
 
 
 def _minkowski_sum(A, B, N):
-    """{a + b} cut to height N; B is scanned in height order, up to N - |a|."""
-    B = sorted(B, key=height)
-    out = set()
+    """{a + b} cut to height N.
+
+    Summed on the codes sum_i c_i (N+1)^(i-1), which add without a carry
+    below the cut; B is sorted by height and scanned up to N - |a|, and each
+    distinct sum is decoded once by divmod.
+    """
+    B = sorted((height(b), b) for b in B if height(b) <= N)
+    if not A or not B:
+        return set()
+    n, radix = len(B[0][1]), N + 1
+    powers = [radix**i for i in range(n)]
+    heights = [h for h, _ in B]
+    codes = [sum(map(operator.mul, b, powers)) for _, b in B]
+    sums = set()
     for a in A:
         room = N - height(a)
-        for b in B:
-            if height(b) > room:
-                break
-            out.add(add_vectors(a, b))
+        if room >= 0:
+            shift = sum(map(operator.mul, a, powers))
+            sums.update(map(shift.__add__, codes[: bisect.bisect_right(heights, room)]))
+    out = set()
+    for s in sums:
+        c = []
+        for _ in range(n):
+            s, r = divmod(s, radix)
+            c.append(r)
+        out.add(tuple(c))
     return out
 
 
@@ -286,11 +310,15 @@ def altwts_check(spec, N):
     The qualifying K are exactly those with J_{w_{J_lambda\\K}.lambda} n
     J_lambda = K, so the category test reduces to K hitting every minimal
     hole.  Returns True iff the union matches the transversal-union weight set.
+    More than 2^12 subsets (|J_lambda| > 12) raise CapExceeded before any is
+    built.
     """
     if spec.is_zero():
         return weight_set(spec, N) == set()
     lam = spec.lam
     J = sorted(integrability(lam))
+    if 2 ** len(J) > _ALT_SUBSET_CAP:
+        raise CapExceeded(_ALT_SUBSET_CAP, 2 ** len(J))
     alt = set()
     for size in range(len(J) + 1):
         for K in itertools.combinations(J, size):

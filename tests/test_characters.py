@@ -1,5 +1,7 @@
 import collections
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -74,6 +76,87 @@ def test_partition_table_grows_in_place():
     assert characters._tables[g] is tall and tall.cutoff == 8
     assert {c: tall.coeffs[c] for c in small} == small
     assert partition_table(g, 4) is tall  # a shorter N reuses the taller table
+
+
+def test_code_index_grows_in_place():
+    c3, b3 = parse_gcm("C3"), parse_gcm("B3")
+    for g in (c3, b3):
+        characters._tables.pop(g, None)
+    characters._indexes.pop(3, None)
+    before = set(characters._indexes)
+    partition_table(c3, 4)
+    small = characters._indexes[3]
+    assert small.cutoff == 4 and set(characters._indexes) == before | {3}
+    partition_table(b3, 8)  # another algebra of the same rank, taller
+    tall = characters._indexes[3]
+    assert tall.cutoff == 8 and set(characters._indexes) == before | {3}
+    # the taller index extends the height order, so tables stay aligned
+    assert tall.vectors[: len(small.vectors)] == small.vectors
+    assert list(partition_table(c3, 4).coeffs) == small.vectors
+    assert shifted_partition_sum(c3, [(1, (0, 0, 0))], 6) == partition_table(c3, 6)
+    assert characters._indexes[3] is tall  # a shorter N reuses the taller index
+    assert [tall.decode[tall.encode(c)] for c in tall.vectors] == tall.vectors
+    assert tall.upto == [math.comb(h + 3, 3) for h in range(9)]
+    assert [sum(height(c) <= h for c in tall.vectors) for h in range(9)] == tall.upto
+
+
+def _tuple_table(gcm, N):
+    """The tuple engine the integer codes replaced: coin change on depth
+    vectors, keys in order of height."""
+    vectors = sorted(depth_vectors(gcm.n, N), key=height)
+    counts = dict.fromkeys(vectors, 0)
+    counts[vectors[0]] = 1
+    for beta in positive_roots(gcm).positive_roots:
+        for c in vectors:
+            rest = tuple(map(operator.sub, c, beta))
+            if min(rest) >= 0:
+                counts[c] += counts[rest]
+    return counts
+
+
+def _tuple_shifted_sum(table, n, terms, N):
+    numerator = {}
+    for sign, d in terms:
+        if height(d) <= N:
+            numerator[d] = numerator.get(d, 0) + sign
+    coeffs = {}
+    for d, sign in numerator.items():
+        room = N - height(d)
+        for c, m in itertools.islice(table.items(), math.comb(room + n, n)):
+            c = tuple(map(operator.add, c, d))
+            coeffs[c] = coeffs.get(c, 0) + sign * m
+    return {c: m for c, m in coeffs.items() if m}
+
+
+def _random_depth(rng, n, top):
+    c = [0] * n
+    for _ in range(rng.randrange(top + 1)):
+        c[rng.randrange(n)] += 1
+    return tuple(c)
+
+
+@pytest.mark.parametrize("name", ["A1^4", "B2", "G2", "B3", "C3", "D4", "F4", "E6"])
+def test_code_engine_matches_tuple_engine(name):
+    g = parse_gcm(name)
+    rng = random.Random(name)
+    table = _tuple_table(g, 8)
+    for N in range(9):
+        prefix = dict(itertools.islice(table.items(), math.comb(N + g.n, g.n)))
+        got = partition_table(g, N).coeffs
+        assert list(itertools.islice(got.items(), len(prefix))) == list(prefix.items())
+        for _ in range(6):
+            # shifts up to N + 3 tall, so some fall past the cutoff
+            terms = [
+                (rng.choice([-2, -1, 1, 2]), _random_depth(rng, g.n, N + 3))
+                for _ in range(rng.randrange(6))
+            ]
+            d = _random_depth(rng, g.n, N)
+            terms += [(1, d), (-1, d)]  # equal shifts that cancel
+            e = _random_depth(rng, g.n, N)
+            terms += [(2, e), (-1, e), (-1, e)]  # net sign 0
+            rng.shuffle(terms)
+            want = _tuple_shifted_sum(prefix, g.n, terms, N)
+            assert shifted_partition_sum(g, terms, N) == FormalCharacter(N, want)
 
 
 def test_shifted_partition_sum():

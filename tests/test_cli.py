@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -102,6 +103,18 @@ def test_enumeration_caps(capsys, tmp_path, monkeypatch, argv, payload, builder)
     # refused with exit 2 before a single term or level is built
     monkeypatch.setattr(builder, _never)
     code, out = run(capsys, argv, payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"].startswith("enumeration cap")
+
+
+def test_alternate_union_cap(capsys, tmp_path, monkeypatch):
+    # 2^13 subsets of J_lambda: `check` exits 2 before the alternate union
+    # enumerates a single one
+    monkeypatch.setattr(
+        "hovm.weightsets.itertools", types.SimpleNamespace(combinations=_never)
+    )
+    payload = {"algebra": "A1^13", "lambda": [0] * 13, "holes": [[1]], "N": 1}
+    code, out = run(capsys, ["check"], payload, tmp_path)
     assert code == 2
     assert json.loads(out)["error"].startswith("enumeration cap")
 

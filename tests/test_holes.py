@@ -1,4 +1,7 @@
+import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -72,6 +75,62 @@ def test_transversals_cap():
     big = HoleSet(set(range(1, 13)), [{2 * i + 1, 2 * i + 2} for i in range(6)])
     with pytest.raises(CapExceeded):
         transversals(big, cap=10)
+
+
+def _quadratic_transversals(holeset, cap):
+    """The all-pairs domination pruning the element index replaced."""
+    holes = sorted(holeset.min_holes, key=lambda h: (len(h), sorted(h)))
+    partial = [frozenset()]
+    for hole in holes:
+        nxt = set()
+        for p in partial:
+            if p & hole:
+                nxt.add(p)
+            else:
+                for v in sorted(hole):
+                    nxt.add(p | {v})
+            if len(nxt) > cap:
+                raise CapExceeded(cap, len(nxt))
+        partial = [p for p in nxt if not any(q < p for q in nxt)]
+    return sorted(partial, key=lambda p: (len(p), sorted(p)))
+
+
+def _outcome(f, holeset, cap):
+    try:
+        return f(holeset, cap=cap)
+    except CapExceeded:
+        return "cap"
+
+
+def test_transversals_match_quadratic_pruning():
+    rng = random.Random(7)
+    for _ in range(300):
+        m = rng.randrange(1, 10)
+        sets = [
+            frozenset(rng.sample(range(1, m + 1), rng.randrange(1, m + 1)))
+            for _ in range(rng.randrange(1, 9))
+        ]
+        hs = HoleSet(range(1, m + 1), [s for s in sets if not any(t < s for t in sets)])
+        for cap in (10, 10**4):
+            assert _outcome(transversals, hs, cap) == _outcome(
+                _quadratic_transversals, hs, cap
+            ), (hs, cap)
+
+
+@pytest.mark.parametrize("n,k,budget", [(12, 6, 1), (13, 7, 10)])
+def test_transversals_of_all_k_subsets_are_fast(n, k, budget):
+    # the minimal hitting sets of all k-subsets of n nodes are the
+    # (n - k + 1)-subsets; all-pairs pruning took 10 s on the 12-node case
+    nodes = range(1, n + 1)
+    hs = HoleSet(nodes, itertools.combinations(nodes, k))
+    start = time.perf_counter()
+    try:
+        ts = transversals(hs)
+    except CapExceeded:
+        ts = None
+    assert time.perf_counter() - start < budget
+    if ts is not None:
+        assert ts == [frozenset(c) for c in itertools.combinations(nodes, n - k + 1)]
 
 
 def test_admissible_sets():

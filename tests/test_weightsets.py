@@ -11,6 +11,7 @@ from hovm.verify import random_sl2n_spec
 from hovm.weights import HighestWeight, depth_vectors, eval_at, integrability
 from hovm.weightsets import (
     HovmSpec,
+    _minkowski_sum,
     altwts_check,
     inclusion_exclusion_char,
     minkowski_family_check,
@@ -220,6 +221,21 @@ def test_t2_minkowski_small_types():
         assert weight_set_minkowski(spec, 8) == weight_set(spec, 8)
 
 
+def test_minkowski_sum_is_pair_sums():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        for N in range(7):
+            A = {tuple(rng.randrange(N + 3) for _ in range(n)) for _ in range(5)}
+            B = {tuple(rng.randrange(N + 3) for _ in range(n)) for _ in range(9)}
+            want = {
+                tuple(x + y for x, y in zip(a, b))
+                for a in A for b in B if sum(a) + sum(b) <= N
+            }
+            assert _minkowski_sum(A, B, N) == want, (A, B, N)
+            assert _minkowski_sum(A, set(), N) == _minkowski_sum(set(), B, N) == set()
+    assert _minkowski_sum({(2,), (0,)}, {(0,), (3,)}, 4) == {(0,), (2,), (3,)}
+
+
 def test_minkowski_family():
     lam = HighestWeight(parse_gcm("A2"), [1, 1])
     assert minkowski_family_check(lam, {1}, {1, 2}, 6)
@@ -296,6 +312,9 @@ def test_altwts():
     assert altwts_check(spec_from_sets(lam, [{2}, {1, 3}]), 6)
     verma = HovmSpec(lam, HoleSet(integrability(lam), []))
     assert altwts_check(verma, 5)
+    # 2^12 subsets of J_lambda is the most the alternate union runs over
+    wide = HighestWeight(parse_gcm("A1^12"), [0] * 12)
+    assert altwts_check(spec_from_sets(wide, [{1}]), 0)
 
 
 def test_inclusion_exclusion_char_requires_sl2n():
