@@ -53,8 +53,12 @@ class HoleSet:
     def __init__(self, context, min_holes):
         self.context = frozenset(context)
         holes = _canonical(min_holes)
-        for h1, h2 in itertools.combinations(holes, 2):
-            if h1 <= h2 or h2 <= h1:
+        # distinct sets of one size are never nested: compare across sizes
+        by_size = {}
+        for h in holes:
+            by_size.setdefault(len(h), []).append(h)
+        for s, t in itertools.combinations(sorted(by_size), 2):
+            if any(a <= b for a in by_size[s] for b in by_size[t]):
                 raise ValueError("not an antichain")
         if any(not h <= self.context for h in holes):
             raise ValueError("hole leaves the context")
@@ -179,12 +183,14 @@ def h_prime(lam, min_holes):
     return minimalize(lam.gcm, J, traces)
 
 
-def order_k_truncations(gcm, holeset, k, j_lambda):
+def order_k_truncations(gcm, holeset, k, j_lambda, cap=10**4):
     """Hole antichains of the kth order upper and lower approximations.
 
     Upper (M_k): minimal holes of size <= k.  Lower (L_k): those same
     holes together with every independent (k+1)-subset of J_lambda not
     containing one of them; k = 0 degenerates to (Verma, simple module).
+    More than `cap` lower holes raise CapExceeded before the antichain is
+    built.
     """
     j_lambda = frozenset(j_lambda)
     if k == 0:
@@ -193,11 +199,53 @@ def order_k_truncations(gcm, holeset, k, j_lambda):
     small = [h for h in holeset.min_holes if len(h) <= k]
     upper = HoleSet(j_lambda, small)
     lower_sets = list(small)
-    for combo in itertools.combinations(sorted(j_lambda), k + 1):
-        s = frozenset(combo)
-        if gcm.is_independent(s) and not any(h <= s for h in small):
+    for s in _independent_subsets(gcm, j_lambda, k + 1):
+        if not any(h <= s for h in small):
             lower_sets.append(s)
+            if len(lower_sets) > cap:
+                raise CapExceeded(cap, len(lower_sets))
     return upper, HoleSet(j_lambda, lower_sets)
+
+
+def _independent_subsets(gcm, nodes, size):
+    """The independent `size`-subsets of `nodes`, in lexicographic order.
+
+    Each set grows by later nodes adjacent to none of its members.  A branch
+    ends once the nodes from the next one on cannot hold the members still
+    missing: their independence number (room) is too small.
+    """
+    nodes = sorted(nodes)
+    nbrs = {v: gcm.neighbours(v) for v in nodes}
+    room = [_independence_number(nbrs, frozenset(nodes[p:])) for p in range(len(nodes))]
+
+    def grow(chosen, p):
+        if len(chosen) == size:
+            yield frozenset(chosen)
+            return
+        for q in range(p, len(nodes)):
+            if len(chosen) + room[q] < size:
+                return  # room only shrinks with q
+            if nbrs[nodes[q]].isdisjoint(chosen):
+                yield from grow(chosen + [nodes[q]], q + 1)
+
+    return grow([], 0)
+
+
+def _independence_number(nbrs, nodes):
+    """Size of a largest independent subset of `nodes` in the graph `nbrs`.
+
+    Branches on a node of least degree, taken or left out.  A node of
+    degree <= 1 lies in some largest set, so it is taken without a branch;
+    on a forest (every finite-type Dynkin diagram) that is every step.
+    """
+    if not nodes:
+        return 0
+    v = min(nodes, key=lambda i: (len(nbrs[i] & nodes), i))
+    near = nbrs[v] & nodes
+    best = 1 + _independence_number(nbrs, nodes - near - {v})
+    if len(near) > 1:
+        best = max(best, _independence_number(nbrs, nodes - {v}))
+    return best
 
 
 def upper_closure(gcm, holeset):

@@ -3,8 +3,8 @@
 Over sl2^n every highest weight module is M(lambda, H) and is isomorphic
 as an n^- module to C[f_1..f_n] modulo the monomial ideal generated by
 the exponent vectors lambda_H of the minimal holes.  Weights are the
-monomials outside the ideal; everything there is plain coordinatewise
-arithmetic.
+monomials outside the ideal, generated coordinate by coordinate;
+everything there is plain coordinatewise arithmetic.
 
 Over any finite-type Levi: the character of a finite-dimensional simple
 module by Freudenthal's multiplicity recursion (freudenthal_char), a check
@@ -16,7 +16,8 @@ import itertools
 from . import rootdata
 from .characters import FormalCharacter, on_levi
 from .holes import HoleSet
-from .weights import HighestWeight, depth_vectors, eval_at, integrability, lambda_H
+from .weights import HighestWeight, depth_vectors, eval_at, integrability
+from .weights import is_nonneg_int, lambda_H
 
 
 class MonomialModule:
@@ -37,16 +38,37 @@ def oracle_module(lam, holeset, N):
     return MonomialModule(lam.gcm, lam, gens, N)
 
 
-def _in_ideal(c, generators):
-    return any(all(a >= b for a, b in zip(c, g)) for g in generators)
+def _standard_monomials(mod):
+    """The monomials outside the ideal by height: layer h lists those of
+    height h in lexicographic order.
+
+    Built one coordinate at a time; each prefix carries the generators it
+    dominates so far.  Once a carried generator has no support after the
+    coordinate, its entry there and every larger value lie in the ideal, so
+    the coordinate stops at the least such entry and at the height left.
+    """
+    n, N = mod.gcm.n, mod.cutoff
+    layers = [[] for _ in range(N + 1)]
+    # a generator's last support; the zero generator (the empty hole) stops
+    # coordinate 1 at 0, so the zero module has no monomials
+    ends = [max((i for i, a in enumerate(g) if a), default=0) for g in mod.generators]
+    level = [((), 0, list(zip(mod.generators, ends)))]
+    for i in range(n):
+        nxt = []
+        for prefix, h, live in level:
+            stop = min([N - h + 1] + [g[i] for g, end in live if end == i])
+            if i == n - 1:
+                for v in range(stop):
+                    layers[h + v].append(prefix + (v,))
+            else:
+                nxt.extend((prefix + (v,), h + v, [p for p in live if p[0][i] <= v])
+                           for v in range(stop))
+        level = nxt
+    return layers
 
 
 def oracle_weights(mod):
-    return {
-        c
-        for c in depth_vectors(mod.gcm.n, mod.cutoff)
-        if not _in_ideal(c, mod.generators)
-    }
+    return set(itertools.chain(*_standard_monomials(mod)))
 
 
 def oracle_char(mod):
@@ -73,54 +95,53 @@ def oracle_holes(mod):
     return HoleSet(J, minimal)
 
 
+def _box(lo, evals, N):
+    """The vectors c of height <= N with c - lo in the box of strings
+    (length ev + 1 at an integrable evaluation) and rays, in lex order.
+    Streamed: only the prefixes of the first n - 1 coordinates are held."""
+    # a ray is a string longer than any height below the cut
+    sizes = [ev + 1 if is_nonneg_int(ev) else N + 1 for ev in evals]
+    level = [((), N - sum(lo))] if N >= sum(lo) else []
+    for base, size in zip(lo[:-1], sizes):
+        level = [(prefix + (base + v,), left - v)
+                 for prefix, left in level for v in range(min(left + 1, size))]
+    for prefix, left in level:
+        for v in range(min(left + 1, sizes[-1])):
+            yield prefix + (lo[-1] + v,)
+
+
 def oracle_simple_char(lam, N):
     """ch L(lambda) over sl2^n: a product of strings and rays per coordinate."""
     if not lam.gcm.is_sl2n:
         raise ValueError("the oracle only models sl2^n")
-    ranges = []
-    for ev in lam.evals:
-        if isinstance(ev, int) and ev >= 0:
-            ranges.append(range(ev + 1))
-        else:
-            ranges.append(range(N + 1))
-    coeffs = {}
-    for c in itertools.product(*ranges):
-        if sum(c) <= N:
-            coeffs[c] = 1
-    return FormalCharacter(N, coeffs)
+    return FormalCharacter(N, dict.fromkeys(_box((0,) * lam.gcm.n, lam.evals, N), 1))
 
 
 def oracle_jh(mod):
     """Jordan-Hoelder data by triangular peeling of maximal weights.
 
-    Repeatedly pick the depth vector of least height (ties broken
-    lexicographically) with a positive remaining coefficient, record the
-    simple with that highest weight, and subtract its character.  A vector
-    of least height is coordinatewise minimal, so each pick is one linear
-    scan, and each peel removes at least the pick: at most |weights| peels.
+    One pass over the standard monomials in (height, lex) order: a vector
+    with a positive remaining coefficient is the top of a composition
+    factor, whose simple character (a box of strings and rays above it) is
+    subtracted.  A peel changes only vectors at or above its top, which
+    come later in the pass, so the factors come out in (height, lex) order.
     Exact as long as the cutoff separates the block (all sl2^n weight
     spaces are lines).
     """
-    lam = mod.lam
-    N = mod.cutoff
-    remaining = dict.fromkeys(oracle_weights(mod), 1)
+    lam, N = mod.lam, mod.cutoff
+    remaining = dict.fromkeys(itertools.chain(*_standard_monomials(mod)), 1)
     factors = []
-    while remaining:
-        top = min(remaining, key=lambda c: (sum(c), c))
-        mult = remaining[top]
-        assert mult > 0
-        mu = lam_below(lam, top)
+    # only values change while iterating: a vector outside the weights would
+    # go negative and raise before it is stored
+    for top, mult in remaining.items():
+        if not mult:
+            continue
         factors.append((top, mult))
-        simple = oracle_simple_char(mu, N - sum(top))
-        for c_rel in simple.coeffs:
-            c = tuple(a + b for a, b in zip(top, c_rel))
-            if sum(c) > N:
-                continue
-            remaining[c] = remaining.get(c, 0) - mult
-            if remaining[c] == 0:
-                del remaining[c]
-            elif remaining[c] < 0:
+        for c in _box(top, lam_below(lam, top).evals, N):
+            left = remaining.get(c, 0) - mult
+            if left < 0:
                 raise AssertionError("negative multiplicity while peeling")
+            remaining[c] = left
     return factors
 
 

@@ -97,6 +97,10 @@ def _never(*args, **kwargs):
          {"algebra": "A1^16", "lambda": [0] * 16,
           "holes": [[i] for i in range(1, 17)], "N": 4},
          "hovm.resolutions.lambda_H"),
+        # C(22, 11) independent 11-subsets: the lower approximation at k = 10
+        (["approx", "--k", "10", "--side", "lower"],
+         {"algebra": "A1^22", "lambda": [0] * 22, "holes": [], "N": 1},
+         "hovm.cli.weight_set"),
     ],
 )
 def test_enumeration_caps(capsys, tmp_path, monkeypatch, argv, payload, builder):
