@@ -12,6 +12,8 @@ import math
 from . import rootdata
 from .weights import integrability
 
+_LOWER_HOLE_CAP = 10**4
+
 
 class ZeroFlag:
     """Marker for the zero module (a hole-set computation degenerated)."""
@@ -183,13 +185,13 @@ def h_prime(lam, min_holes):
     return minimalize(lam.gcm, J, traces)
 
 
-def order_k_truncations(gcm, holeset, k, j_lambda, cap=10**4):
+def order_k_truncations(gcm, holeset, k, j_lambda):
     """Hole antichains of the kth order upper and lower approximations.
 
     Upper (M_k): minimal holes of size <= k.  Lower (L_k): those same
     holes together with every independent (k+1)-subset of J_lambda not
     containing one of them; k = 0 degenerates to (Verma, simple module).
-    More than `cap` lower holes raise CapExceeded before the antichain is
+    More than 10^4 lower holes raise CapExceeded before the antichain is
     built.
     """
     j_lambda = frozenset(j_lambda)
@@ -199,53 +201,13 @@ def order_k_truncations(gcm, holeset, k, j_lambda, cap=10**4):
     small = [h for h in holeset.min_holes if len(h) <= k]
     upper = HoleSet(j_lambda, small)
     lower_sets = list(small)
-    for s in _independent_subsets(gcm, j_lambda, k + 1):
-        if not any(h <= s for h in small):
+    for combo in itertools.combinations(sorted(j_lambda), k + 1):
+        s = frozenset(combo)
+        if gcm.is_independent(s) and not any(h <= s for h in small):
             lower_sets.append(s)
-            if len(lower_sets) > cap:
-                raise CapExceeded(cap, len(lower_sets))
+            if len(lower_sets) > _LOWER_HOLE_CAP:
+                raise CapExceeded(_LOWER_HOLE_CAP, len(lower_sets))
     return upper, HoleSet(j_lambda, lower_sets)
-
-
-def _independent_subsets(gcm, nodes, size):
-    """The independent `size`-subsets of `nodes`, in lexicographic order.
-
-    Each set grows by later nodes adjacent to none of its members.  A branch
-    ends once the nodes from the next one on cannot hold the members still
-    missing: their independence number (room) is too small.
-    """
-    nodes = sorted(nodes)
-    nbrs = {v: gcm.neighbours(v) for v in nodes}
-    room = [_independence_number(nbrs, frozenset(nodes[p:])) for p in range(len(nodes))]
-
-    def grow(chosen, p):
-        if len(chosen) == size:
-            yield frozenset(chosen)
-            return
-        for q in range(p, len(nodes)):
-            if len(chosen) + room[q] < size:
-                return  # room only shrinks with q
-            if nbrs[nodes[q]].isdisjoint(chosen):
-                yield from grow(chosen + [nodes[q]], q + 1)
-
-    return grow([], 0)
-
-
-def _independence_number(nbrs, nodes):
-    """Size of a largest independent subset of `nodes` in the graph `nbrs`.
-
-    Branches on a node of least degree, taken or left out.  A node of
-    degree <= 1 lies in some largest set, so it is taken without a branch;
-    on a forest (every finite-type Dynkin diagram) that is every step.
-    """
-    if not nodes:
-        return 0
-    v = min(nodes, key=lambda i: (len(nbrs[i] & nodes), i))
-    near = nbrs[v] & nodes
-    best = 1 + _independence_number(nbrs, nodes - near - {v})
-    if len(near) > 1:
-        best = max(best, _independence_number(nbrs, nodes - {v}))
-    return best
 
 
 def upper_closure(gcm, holeset):

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from hovm.holes import (
-    _independent_subsets,
     CapExceeded,
     HoleSet,
     ZERO,
@@ -170,7 +169,7 @@ def test_order_k_truncations():
     assert lower0.min_holes == (frozenset({1}), frozenset({2}), frozenset({3}))
 
 
-def test_order_k_truncations_cap():
+def test_order_k_truncations_cap(monkeypatch):
     # the A1^22 lower approximation at k = 10 would hold C(22, 11) = 705,432
     # holes; it is refused after 10^4, and quickly
     g = parse_gcm("A1^22")
@@ -183,24 +182,11 @@ def test_order_k_truncations_cap():
     J12 = frozenset(g12.nodes)
     upper, lower = order_k_truncations(g12, HoleSet(J12, [{1, 2}]), 5, J12)
     assert len(lower) == 1 + math.comb(12, 6) - math.comb(10, 4)
+    monkeypatch.setattr("hovm.holes._LOWER_HOLE_CAP", len(lower))
+    order_k_truncations(g12, HoleSet(J12, [{1, 2}]), 5, J12)
+    monkeypatch.setattr("hovm.holes._LOWER_HOLE_CAP", len(lower) - 1)
     with pytest.raises(CapExceeded):
-        order_k_truncations(g12, HoleSet(J12, [{1, 2}]), 5, J12, cap=len(lower) - 1)
-
-
-def test_independent_subsets_match_combinations():
-    rng = random.Random(5)
-    cycle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]  # affine A2: a triangle
-    dense = [[2 if i == j else -rng.randint(0, 1) for j in range(7)] for i in range(7)]
-    dense = [[min(dense[i][j], dense[j][i]) for j in range(7)] for i in range(7)]
-    for spec in ["A7", "D6", "E8", "A1^5", "A2xB3", cycle, dense]:
-        g = parse_gcm(spec)
-        nodes = rng.sample(g.nodes, rng.randint(1, g.n))
-        for size in range(g.n + 2):
-            want = [
-                frozenset(c) for c in itertools.combinations(sorted(nodes), size)
-                if g.is_independent(c)
-            ]
-            assert list(_independent_subsets(g, nodes, size)) == want
+        order_k_truncations(g12, HoleSet(J12, [{1, 2}]), 5, J12)
 
 
 def test_antichain_across_sizes():
