@@ -12,29 +12,11 @@ import math
 import os
 import sys
 
+# Every job is a fresh process, so each cmd_* imports the modules it alone
+# uses; holes (for CapExceeded) already loads rootdata and weights.
 from . import rootdata
-from .cat_o import build_block, kl_bases, reciprocity_table, simples_in_block
-from .characters import FormalCharacter
 from .holes import CapExceeded, minimalize, order_k_truncations
-from .resolutions import (
-    dihedral_candidate,
-    euler_char,
-    koszul_resolution,
-    taylor_resolution,
-    verify_complex,
-)
-from .verify import SUITES, run_suite
 from .weights import HighestWeight, integrability
-from .weightsets import (
-    HovmSpec,
-    altwts_check,
-    inclusion_exclusion_char,
-    psi_k,
-    weight_member,
-    weight_set,
-    weight_set_minkowski,
-)
-from .weyl import order_of_hole_product
 
 HEIGHT_DEFAULT = 10
 HEIGHT_CAP = 30
@@ -95,6 +77,8 @@ def _holes_of(payload, gcm, lam=None, context=None):
 
 
 def _spec_of(payload):
+    from .weightsets import HovmSpec
+
     gcm = _gcm_of(payload)
     lam = _lam_of(payload, gcm)
     return HovmSpec(lam, _holes_of(payload, gcm, lam))
@@ -117,6 +101,8 @@ def _sorted_vectors(vectors):
 
 
 def cmd_weights(args):
+    from .weightsets import weight_set
+
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
@@ -124,6 +110,8 @@ def cmd_weights(args):
 
 
 def cmd_member(args):
+    from .weightsets import weight_member
+
     payload = _load_payload(args)
     spec = _spec_of(payload)
     depth = payload.get("depth")
@@ -134,6 +122,8 @@ def cmd_member(args):
 
 def cmd_check(args):
     """Cross-check the independent weight-set code paths on one instance."""
+    from .weightsets import altwts_check, psi_k, weight_set, weight_set_minkowski
+
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
@@ -150,6 +140,9 @@ def cmd_check(args):
 
 
 def cmd_char(args):
+    from .characters import FormalCharacter
+    from .weightsets import inclusion_exclusion_char, weight_set
+
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
@@ -163,12 +156,23 @@ def cmd_char(args):
         else:
             char = inclusion_exclusion_char(spec, N)
     else:
+        from .resolutions import euler_char, koszul_resolution, taylor_resolution
+
         build = koszul_resolution if args.method == "koszul" else taylor_resolution
         char = euler_char(build(spec.lam, spec.holes), N)
     return {"method": args.method, "char": char.to_json()}, 0
 
 
 def cmd_resolution(args):
+    from .resolutions import (
+        dihedral_candidate,
+        euler_char,
+        koszul_resolution,
+        taylor_resolution,
+        verify_complex,
+    )
+    from .weightsets import weight_set
+
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
@@ -200,6 +204,10 @@ def cmd_resolution(args):
 
 
 def cmd_approx(args):
+    from .weightsets import HovmSpec, weight_set
+
+    if args.k < 0:
+        raise ValueError("--k must be a nonnegative integer")
     payload = _load_payload(args)
     spec = _spec_of(payload)
     N = _height_of(args, payload)
@@ -216,6 +224,8 @@ def cmd_approx(args):
 
 
 def _blockholes_of(payload):
+    from .cat_o import build_block, simples_in_block
+
     gcm = _gcm_of(payload)
     if not gcm.is_sl2n:
         raise ValueError("block data is defined over sl2^n only")
@@ -226,6 +236,8 @@ def _blockholes_of(payload):
 
 
 def cmd_reciprocity(args):
+    from .cat_o import reciprocity_table
+
     payload = _load_payload(args)
     bh = _blockholes_of(payload)
     table = reciprocity_table(bh)
@@ -246,6 +258,8 @@ def cmd_reciprocity(args):
 
 
 def cmd_kl(args):
+    from .cat_o import kl_bases
+
     payload = _load_payload(args)
     bh = _blockholes_of(payload)
     bases = kl_bases(bh)
@@ -271,6 +285,8 @@ def cmd_kl(args):
 
 
 def cmd_order_product(args):
+    from .weyl import order_of_hole_product
+
     payload = _load_payload(args)
     gcm = _gcm_of(payload)
     holes = _hole_list(payload, gcm)
@@ -278,6 +294,10 @@ def cmd_order_product(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite
+
+    if args.trials < 0:
+        raise ValueError("--trials must be a nonnegative integer")
     report = run_suite(args.suite, args.seed, args.trials)
     return report, 0 if report["status"] == "ok" else 3
 
@@ -323,7 +343,9 @@ def build_parser():
     job("kl", "truncated Kazhdan-Lusztig change-of-basis matrices", cutoff=False)
     job("order-product", "order of a product of hole reflections", cutoff=False)
     p = sub.add_parser("verify", help="seeded randomized oracle suites")
-    p.add_argument("--suite", choices=list(SUITES), required=True)
+    # the names are hovm.verify.SUITES, checked by run_suite: listing them
+    # here as choices would load verify and its oracles for every job
+    p.add_argument("--suite", required=True, help="a name in hovm.verify.SUITES")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=50)
     return parser

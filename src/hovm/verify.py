@@ -255,5 +255,5 @@ SUITES = {
 
 def run_suite(name, seed, trials):
     if name not in SUITES:
-        raise ValueError("unknown suite %r" % name)
+        raise ValueError("unknown suite %r (one of %s)" % (name, ", ".join(SUITES)))
     return SUITES[name](seed, trials)

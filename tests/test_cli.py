@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -100,7 +101,7 @@ def _never(*args, **kwargs):
         # C(22, 11) independent 11-subsets: the lower approximation at k = 10
         (["approx", "--k", "10", "--side", "lower"],
          {"algebra": "A1^22", "lambda": [0] * 22, "holes": [], "N": 1},
-         "hovm.cli.weight_set"),
+         "hovm.weightsets.weight_set"),
     ],
 )
 def test_enumeration_caps(capsys, tmp_path, monkeypatch, argv, payload, builder):
@@ -121,6 +122,19 @@ def test_alternate_union_cap(capsys, tmp_path, monkeypatch):
     code, out = run(capsys, ["check"], payload, tmp_path)
     assert code == 2
     assert json.loads(out)["error"].startswith("enumeration cap")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "nosuch"], ["verify", "--suite", "weights", "--trials", "-3"]]
+)
+def test_malformed_verify_args(capsys, argv):
+    # the parser takes any suite name and count; run_suite and cmd_verify
+    # refuse them like any validation error: exit 2 with one JSON error
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert list(json.loads(captured.out)) == ["error"]
+    assert captured.err == ""
 
 
 def test_verify_zero_trials(capsys):
@@ -257,6 +271,8 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["weights"], dict(V00, holes=[[True, 2]])),
         (["weights"], dict(V00, holes=[[1.0, 2]])),
         (["weights"], dict(V00, holes=[[[1], 2]])),
+        (["approx", "--k", "-1", "--side", "lower"], V00),  # read as the zero module
+        (["approx", "--k", "-1", "--side", "upper"], V00),  # read as the Verma module
         (["order-product"], {"algebra": "A4", "holes": [[9], [1]]}),
         (["order-product"], {"algebra": "A4", "holes": [[0], [3]]}),
         (["order-product"], {"algebra": "A4", "holes": [[True], [3]]}),
@@ -441,21 +457,56 @@ def test_fuzz_verify(suite, seed, trials):
     assert err == ""
 
 
-def test_import_loads_only_the_core():
-    # every fresh process pays for what `import hovm` compiles and runs, so
-    # the oracles, verify and the CLI stay off that path
-    code = (
-        "import json, sys, hovm\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hovm')))"
+def _hovm_modules_after(code, stdin=""):
+    """The hovm modules a fresh process has loaded once `code` has run."""
+    code += (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'hovm')),"
+        " file=sys.stderr)"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", code], input=stdin, env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=30, check=True,
     )
-    assert json.loads(proc.stdout) == [
-        "hovm", "hovm.characters", "hovm.holes", "hovm.rootdata", "hovm.weights",
-        "hovm.weightsets",
-    ]
+    return {m.partition(".")[2] for m in json.loads(proc.stderr)} - {""}
+
+
+def test_import_loads_only_the_core():
+    # every fresh process pays for what `import hovm` compiles and runs, so
+    # it resolves its public names on first use and loads no submodule
+    assert _hovm_modules_after("import hovm") == set()
+
+
+def test_lazy_public_names():
+    import hovm
+
+    for name in hovm.__all__:
+        home = importlib.import_module("hovm." + hovm._HOME[name])
+        assert getattr(hovm, name) is getattr(home, name), name
+    namespace = {}
+    exec("from hovm import *", namespace)
+    assert set(hovm.__all__) <= set(namespace)
+    assert set(hovm.__all__) <= set(dir(hovm))
+    with pytest.raises(AttributeError):
+        hovm.no_such_name
+    with pytest.raises(ImportError):
+        exec("from hovm import no_such_name", {})
+
+
+@pytest.mark.parametrize(
+    "argv,payload,absent",
+    [
+        (["order-product"], {"algebra": "A5", "holes": [[1], [2, 4]]},
+         {"weightsets", "characters", "resolutions", "cat_o", "oracle", "verify"}),
+        (["weights"], {"algebra": "A4", "lambda": [1, 0, 2, -1], "holes": [[1], [3]]},
+         {"resolutions", "cat_o", "oracle", "verify", "weyl"}),
+    ],
+)
+def test_subcommand_footprint(argv, payload, absent):
+    # each job is a fresh process that loads only the modules it uses
+    code = "from hovm.cli import main\nmain(%r)" % (argv,)
+    loaded = _hovm_modules_after(code, json.dumps(payload))
+    assert "cli" in loaded and not loaded & absent, sorted(loaded & absent)
 
 
 def test_cli_import_loads_no_fractions():
