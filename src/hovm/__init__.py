@@ -21,8 +21,8 @@ _EXPORTS = {
         "parabolic_verma_char", "simple_finite_char",
     ),
     "holes": (
-        "HoleSet", "ZERO", "ZeroModuleError", "CapExceeded", "minimalize",
-        "transversals", "admissible_sets", "h_prime", "order_k_truncations",
+        "HoleSet", "CapExceeded", "minimalize", "transversals",
+        "admissible_sets", "h_prime", "order_k_truncations",
     ),
     "weightsets": (
         "HovmSpec", "spec_from_sets", "pvm_member", "pvm_weight_set",

@@ -11,7 +11,7 @@ subsets.
 
 import itertools
 
-from .holes import ZERO, h_prime
+from .holes import h_prime
 from .weights import HighestWeight
 from .weightsets import HovmSpec
 
@@ -103,10 +103,7 @@ def universal_cover(bh, K):
     """M(w_K . lambda~, H'_{w_K . lambda~}), the cover of L(w_K . lambda~)."""
     K = frozenset(K)
     mu = bh.block.member(K)
-    hp = h_prime(mu, bh.holes.min_holes)
-    if hp is ZERO:
-        return ZERO
-    return HovmSpec(mu, hp)
+    return HovmSpec(mu, h_prime(mu, bh.holes.min_holes))
 
 
 def jh_multiplicity(bh, K, K2):
@@ -127,8 +124,8 @@ def reciprocity_table(bh):
     """
     table = {}
     for K in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
-        h_wk = h_prime(bh.block.member(K), bh.holes.min_holes)
-        holes_json = None if h_wk is ZERO else h_wk.to_json()
+        # J of w_K . lambda~ is K* \ K, which meets every hole: never zero
+        holes_json = h_prime(bh.block.member(K), bh.holes.min_holes).to_json()
         for K2 in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
             lhs = int(K2 <= K)
             rhs = jh_multiplicity(bh, K2, K)

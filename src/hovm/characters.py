@@ -157,6 +157,11 @@ def shifted_partition_sum(gcm, terms, N):
     for sign, d in terms:
         if height(d) <= N:
             numerator[d] = numerator.get(d, 0) + sign
+    if not any(numerator.values()):
+        # an empty sum (the zero module) builds no table, but refuses the
+        # GCMs that the table's positive roots would
+        rootdata.positive_roots(gcm)
+        return FormalCharacter(N, {})
     table = partition_table(gcm, N).coeffs
     index = _index(gcm.n, N)
     coeffs = {}

@@ -245,7 +245,6 @@ def cmd_reciprocity(args):
         {"K": sorted(K), "K2": sorted(K2), **entry}
         for (K, K2), entry in table.items()
     ]
-    records.sort(key=lambda r: (len(r["K"]), r["K"], len(r["K2"]), r["K2"]))
     ok = all(r["equal"] for r in records)
     return {
         "k_star": sorted(bh.block.k_star),

@@ -3,7 +3,8 @@
 A HoleSet stores only the inclusion-minimal holes; the module it encodes
 is determined by the upper closure of that antichain inside
 Indep(J_lambda).  The full closure is never materialized outside of
-bounded tests.
+bounded tests.  The antichain [{}] is the zero module: it has no
+transversal, so the general code paths give its empty answers.
 """
 
 import itertools
@@ -12,28 +13,12 @@ import math
 from . import rootdata
 from .weights import integrability
 
+# transversals: partial hitting sets kept after one hole
+_TRANSVERSAL_CAP = 10**4
+# admissible_sets: choice tuples, one subset per minimal hole
+_FAMILY_CAP = 10**4
+# order_k_truncations: lower holes kept
 _LOWER_HOLE_CAP = 10**4
-
-
-class ZeroFlag:
-    """Marker for the zero module (a hole-set computation degenerated)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZeroFlag"
-
-
-ZERO = ZeroFlag()
-
-
-class ZeroModuleError(ValueError):
-    pass
 
 
 class CapExceeded(RuntimeError):
@@ -113,7 +98,7 @@ def closure_member(gcm, holeset, H):
     return any(m <= H for m in holeset.min_holes)
 
 
-def transversals(holeset, cap=10**4):
+def transversals(holeset):
     """All inclusion-minimal hitting sets of the minimal holes.
 
     Branch-and-bound over the support, one hole at a time.  The frontier is
@@ -121,8 +106,6 @@ def transversals(holeset, cap=10**4):
     set p missing the hole can be dominated, and only by a kept set (one
     that hit the hole already) containing v; those are looked up by element.
     """
-    if holeset.is_zero():
-        raise ZeroModuleError("the empty hole makes the module zero")
     holes = sorted(holeset.min_holes, key=lambda h: (len(h), sorted(h)))
     partial = [frozenset()]
     for hole in holes:
@@ -133,8 +116,8 @@ def transversals(holeset, cap=10**4):
                 kept.add(p)
             else:
                 nxt.update(p | {v} for v in sorted(hole))
-            if len(nxt) > cap:
-                raise CapExceeded(cap, len(nxt))
+            if len(nxt) > _TRANSVERSAL_CAP:
+                raise CapExceeded(_TRANSVERSAL_CAP, len(nxt))
         by_node = {v: [p for p in kept if v in p] for v in hole}
         partial = [
             q for q in nxt
@@ -143,7 +126,7 @@ def transversals(holeset, cap=10**4):
     return sorted(partial, key=lambda p: (len(p), sorted(p)))
 
 
-def admissible_sets(holeset, k, cap=10**4):
+def admissible_sets(holeset, k):
     """All admissible families of order k: one subset H'_t of each minimal
     hole H_t with |H'_t| = min(k, |H_t|), collected as a set of distinct sets.
 
@@ -160,8 +143,8 @@ def admissible_sets(holeset, k, cap=10**4):
     count = 0
     for picks in itertools.product(*choices):
         count += 1
-        if count > cap:
-            raise CapExceeded(cap, len(families))
+        if count > _FAMILY_CAP:
+            raise CapExceeded(_FAMILY_CAP, len(families))
         fam = frozenset(picks)
         if fam not in seen:
             seen.add(fam)
@@ -170,19 +153,14 @@ def admissible_sets(holeset, k, cap=10**4):
 
 
 def h_prime(lam, min_holes):
-    """H'_lambda = minimalize({J_lambda n H}); ZERO if some trace is empty.
+    """H'_lambda = minimalize({J_lambda n H}); an empty trace minimalizes
+    to the zero module [{}].
 
     The input holes live over the full node set I (general O^H data), so
     intersections are re-checked for independence inside J_lambda.
     """
     J = integrability(lam)
-    traces = []
-    for h in min_holes:
-        t = frozenset(h) & J
-        if not t:
-            return ZERO
-        traces.append(t)
-    return minimalize(lam.gcm, J, traces)
+    return minimalize(lam.gcm, J, [frozenset(h) & J for h in min_holes])
 
 
 def order_k_truncations(gcm, holeset, k, j_lambda):

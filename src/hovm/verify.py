@@ -3,21 +3,13 @@
 Each suite draws (lambda, holes) instances from a seeded RNG, runs one of
 the library code paths and the brute-force monomial model side by side,
 and reports either ok or the first counterexample.  Used by the `verify`
-CLI subcommand and by the test harness.
+CLI subcommand and by the test harness.  Each suite imports the modules it
+alone uses, so a run loads no other suite's code.
 """
 
 import random
 
 from . import rootdata
-from .cat_o import (
-    build_block,
-    jh_multiplicity,
-    kl_bases,
-    kl_weight_of_index,
-    reciprocity_table,
-    simples_in_block,
-    universal_cover,
-)
 from .holes import HoleSet, minimalize
 from .oracle import (
     oracle_char,
@@ -26,7 +18,6 @@ from .oracle import (
     oracle_simple_char,
     oracle_weights,
 )
-from .resolutions import euler_char, taylor_resolution, verify_complex
 from .weights import HighestWeight, NONINT, integrability
 from .weightsets import (
     HovmSpec,
@@ -35,7 +26,8 @@ from .weightsets import (
     weight_set_minkowski,
 )
 
-DEFAULT_N = 12
+# height cutoff of the weights, chars and resolutions suites
+SUITE_N = 12
 
 
 def random_weight(rng, gcm, lo=-1, hi=3, nonint_prob=0.2):
@@ -65,13 +57,11 @@ def random_sl2n_spec(rng):
     return HovmSpec(lam, holes)
 
 
-def _instance_json(spec):
+def _instance_json(lam, holes):
     return {
-        "n": spec.gcm.n,
-        "lambda": [
-            "x" if e is NONINT else e for e in spec.lam.evals
-        ],
-        "holes": spec.holes.to_json(),
+        "n": lam.gcm.n,
+        "lambda": ["x" if e is NONINT else e for e in lam.evals],
+        "holes": holes.to_json(),
     }
 
 
@@ -79,62 +69,67 @@ def _report(trials):
     return {"status": "ok", "trials": trials}
 
 
-def _mismatch(spec, what, trial, extra=None):
+def _mismatch(lam, holes, what, trial, extra=None):
     out = {
         "status": "mismatch",
         "what": what,
         "trial": trial,
-        "instance": _instance_json(spec),
+        "instance": _instance_json(lam, holes),
     }
     if extra:
         out.update(extra)
     return out
 
 
-def suite_weights(seed, trials, N=DEFAULT_N):
+def suite_weights(seed, trials):
     rng = random.Random(seed)
     for t in range(trials):
         spec = random_sl2n_spec(rng)
-        mod = oracle_module(spec.lam, spec.holes, N)
+        mod = oracle_module(spec.lam, spec.holes, SUITE_N)
         expected = oracle_weights(mod)
-        got = weight_set(spec, N)
+        got = weight_set(spec, SUITE_N)
         if got != expected:
             return _mismatch(
-                spec,
+                spec.lam,
+                spec.holes,
                 "weight_set",
                 t,
                 {"only_lib": sorted(got - expected), "only_oracle": sorted(expected - got)},
             )
-        if weight_set_minkowski(spec, N) != expected:
-            return _mismatch(spec, "weight_set_minkowski", t)
+        if weight_set_minkowski(spec, SUITE_N) != expected:
+            return _mismatch(spec.lam, spec.holes, "weight_set_minkowski", t)
     return _report(trials)
 
 
-def suite_chars(seed, trials, N=DEFAULT_N):
+def suite_chars(seed, trials):
     rng = random.Random(seed)
     for t in range(trials):
         spec = random_sl2n_spec(rng)
-        expected = oracle_char(oracle_module(spec.lam, spec.holes, N))
-        got = inclusion_exclusion_char(spec, N)
+        expected = oracle_char(oracle_module(spec.lam, spec.holes, SUITE_N))
+        got = inclusion_exclusion_char(spec, SUITE_N)
         if got != expected:
-            return _mismatch(spec, "inclusion_exclusion_char", t)
+            return _mismatch(spec.lam, spec.holes, "inclusion_exclusion_char", t)
     return _report(trials)
 
 
-def suite_resolutions(seed, trials, N=DEFAULT_N):
+def suite_resolutions(seed, trials):
+    from .resolutions import euler_char, taylor_resolution, verify_complex
+
     rng = random.Random(seed)
     for t in range(trials):
         spec = random_sl2n_spec(rng)
         res = taylor_resolution(spec.lam, spec.holes)
         if not verify_complex(res):
-            return _mismatch(spec, "verify_complex", t)
-        expected = oracle_char(oracle_module(spec.lam, spec.holes, N))
-        if euler_char(res, N) != expected:
-            return _mismatch(spec, "taylor_euler_char", t)
+            return _mismatch(spec.lam, spec.holes, "verify_complex", t)
+        expected = oracle_char(oracle_module(spec.lam, spec.holes, SUITE_N))
+        if euler_char(res, SUITE_N) != expected:
+            return _mismatch(spec.lam, spec.holes, "taylor_euler_char", t)
     return _report(trials)
 
 
 def random_blockholes(rng, max_n=3):
+    from .cat_o import build_block, simples_in_block
+
     n = rng.choice(list(range(2, max_n + 1)))
     gcm = rootdata.parse_gcm("A1^%d" % n)
     lam = random_weight(rng, gcm, lo=-4, hi=3)
@@ -155,12 +150,16 @@ def _absolute_coeffs(coeffs, base, N):
 
 def _cover_module(bh, K, N):
     """Oracle model of the cover indexed by K, and its depth in the block."""
+    from .cat_o import universal_cover
+
     spec = universal_cover(bh, K)
     base = bh.block.member_depth(K)
     return oracle_module(spec.lam, spec.holes, N - sum(base)), base
 
 
 def suite_reciprocity(seed, trials):
+    from .cat_o import jh_multiplicity, reciprocity_table
+
     rng = random.Random(seed)
     for t in range(trials):
         bh = random_blockholes(rng)
@@ -169,12 +168,10 @@ def suite_reciprocity(seed, trials):
         table = reciprocity_table(bh)
         bad = [k for k, v in table.items() if not v["equal"]]
         if bad:
-            return {
-                "status": "mismatch",
-                "what": "reciprocity",
-                "trial": t,
-                "pairs": [[sorted(a), sorted(b)] for a, b in bad],
-            }
+            return _mismatch(
+                block.lam, bh.holes, "reciprocity", t,
+                {"pairs": [[sorted(a), sorted(b)] for a, b in bad]},
+            )
         # oracle cross-check: the triangular JH peel of each cover recovers
         # exactly the jh_multiplicity pattern
         for K2 in bh.simple_index:
@@ -186,18 +183,17 @@ def suite_reciprocity(seed, trials):
                 if jh_multiplicity(bh, K2, K)
             )
             if got != expected:
-                return {
-                    "status": "mismatch",
-                    "what": "oracle_jh",
-                    "trial": t,
+                return _mismatch(block.lam, bh.holes, "oracle_jh", t, {
                     "index": sorted(K2),
                     "got": [[list(c), m] for c, m in got],
                     "expected": [[list(c), m] for c, m in expected],
-                }
+                })
     return _report(trials)
 
 
 def suite_kl(seed, trials):
+    from .cat_o import kl_bases, kl_weight_of_index
+
     rng = random.Random(seed)
     for t in range(trials):
         bh = random_blockholes(rng)
@@ -209,12 +205,10 @@ def suite_kl(seed, trials):
             for K2 in index:
                 want = 1 if K == K2 else 0
                 if bases["product"][(K, K2)] != want:
-                    return {
-                        "status": "mismatch",
-                        "what": "kl_inversion",
-                        "trial": t,
-                        "pair": [sorted(K), sorted(K2)],
-                    }
+                    return _mismatch(
+                        block.lam, bh.holes, "kl_inversion", t,
+                        {"pair": [sorted(K), sorted(K2)]},
+                    )
         # signed character identity: ch L(label K) equals the signed sum of
         # the cover characters over K' <= K in the index, all in the oracle
         ks = block.k_star
@@ -235,12 +229,10 @@ def suite_kl(seed, trials):
                     rhs[c] = rhs.get(c, 0) + sign * m
             rhs = {c: m for c, m in rhs.items() if m}
             if lhs != rhs:
-                return {
-                    "status": "mismatch",
-                    "what": "kl_signed_characters",
-                    "trial": t,
-                    "label": sorted(K),
-                }
+                return _mismatch(
+                    block.lam, bh.holes, "kl_signed_characters", t,
+                    {"label": sorted(K)},
+                )
     return _report(trials)
 
 

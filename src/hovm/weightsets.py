@@ -14,7 +14,6 @@ import operator
 from . import holes as holes_mod
 from . import rootdata
 from .characters import (
-    FormalCharacter,
     dot_orbit_terms,
     shifted_partition_sum,
     simple_finite_char,
@@ -55,9 +54,6 @@ class HovmSpec:
                 raise ValueError("hole is not independent")
         self.holes = holeset
         self._transversals = None
-
-    def is_zero(self):
-        return self.holes.is_zero()
 
     def min_transversals(self):
         if self._transversals is None:
@@ -142,8 +138,6 @@ def weight_member(spec, c):
         raise ValueError("depth must be an array of %d integers" % spec.gcm.n)
     if any(x < 0 for x in c):
         return False
-    if spec.is_zero():
-        return False
     if not spec.holes.min_holes:
         return True
     return any(pvm_member(spec.lam, J, c) for J in spec.min_transversals())
@@ -152,8 +146,6 @@ def weight_member(spec, c):
 def weight_set(spec, N):
     """wt M(lambda, H) up to height N: the union over the minimal
     transversals J of wt M(lambda, J)."""
-    if spec.is_zero():
-        return set()
     if not spec.holes.min_holes:
         return set(depth_vectors(spec.gcm.n, N))
     ts = spec.min_transversals()
@@ -224,7 +216,7 @@ def weight_set_minkowski(spec, N):
     full algebra, whose generators are the plain products of f_h over each
     hole.
     """
-    if spec.is_zero():
+    if spec.holes.is_zero():  # no finite character over a non-finite J_lambda
         return set()
     lam = spec.lam
     J = integrability(lam)
@@ -276,8 +268,6 @@ def psi_k(spec, k, N):
 
     Infinity is passed as math.inf (equivalently any k >= max hole size).
     """
-    if spec.is_zero():
-        return set()
     if not spec.holes.min_holes:
         return weight_set(spec, N)
     out = set()
@@ -313,7 +303,7 @@ def altwts_check(spec, N):
     More than 2^12 subsets (|J_lambda| > 12) raise CapExceeded before any is
     built.
     """
-    if spec.is_zero():
+    if spec.holes.is_zero():  # no K hits the empty hole: skip the subset cap
         return weight_set(spec, N) == set()
     lam = spec.lam
     J = sorted(integrability(lam))
@@ -334,8 +324,6 @@ def inclusion_exclusion_char(spec, N):
     (-1)^{|S|-1} ch M(lambda, union of S)."""
     if not spec.gcm.is_sl2n:
         raise ValueError("inclusion-exclusion characters require sl2^n")
-    if spec.is_zero():
-        return FormalCharacter(N, {})
     ts = spec.min_transversals()
     if 2 ** len(ts) - 1 > _IE_TERM_CAP:
         raise CapExceeded(_IE_TERM_CAP, 2 ** len(ts) - 1)

@@ -152,6 +152,50 @@ def test_verify_suites_small(capsys):
         assert json.loads(out)["status"] == "ok"
 
 
+def _drop_least(f):
+    return lambda *args: set(sorted(f(*args))[1:])
+
+
+def _doubled(f):
+    return lambda *args: f(*args) + f(*args)
+
+
+@pytest.mark.parametrize(
+    "suite,target,spoil,what",
+    [
+        ("weights", "hovm.verify.weight_set", _drop_least, "weight_set"),
+        ("weights", "hovm.verify.weight_set_minkowski", _drop_least,
+         "weight_set_minkowski"),
+        ("chars", "hovm.verify.inclusion_exclusion_char", _doubled,
+         "inclusion_exclusion_char"),
+        ("resolutions", "hovm.resolutions.verify_complex",
+         lambda f: lambda res: False, "verify_complex"),
+        ("resolutions", "hovm.resolutions.euler_char", _doubled, "taylor_euler_char"),
+        ("reciprocity", "hovm.cat_o.reciprocity_table",
+         lambda f: lambda bh: {k: dict(v, equal=False) for k, v in f(bh).items()},
+         "reciprocity"),
+        ("reciprocity", "hovm.verify.oracle_jh", lambda f: lambda mod: f(mod)[1:],
+         "oracle_jh"),
+        ("kl", "hovm.cat_o.kl_bases",
+         lambda f: lambda bh: dict(f(bh), product=dict.fromkeys(f(bh)["product"], 0)),
+         "kl_inversion"),
+        ("kl", "hovm.verify.oracle_simple_char", _doubled, "kl_signed_characters"),
+    ],
+)
+def test_verify_mismatch(capsys, monkeypatch, suite, target, spoil, what):
+    # one library answer made wrong: the suite names the failing check and
+    # its instance, and the CLI exits 3
+    from hovm.verify import run_suite
+
+    home, _, name = target.rpartition(".")
+    monkeypatch.setattr(target, spoil(getattr(importlib.import_module(home), name)))
+    report = run_suite(suite, 0, 30)
+    assert report["status"] == "mismatch" and report["what"] == what, report
+    assert set(report["instance"]) == {"n", "lambda", "holes"}
+    code, out = run(capsys, ["verify", "--suite", suite, "--trials", "30"])
+    assert code == 3 and json.loads(out) == json.loads(json.dumps(report))
+
+
 def test_char_methods_agree(capsys, tmp_path):
     payload = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]], "N": 6}
     chars = {}
@@ -500,6 +544,8 @@ def test_lazy_public_names():
          {"weightsets", "characters", "resolutions", "cat_o", "oracle", "verify"}),
         (["weights"], {"algebra": "A4", "lambda": [1, 0, 2, -1], "holes": [[1], [3]]},
          {"resolutions", "cat_o", "oracle", "verify", "weyl"}),
+        (["verify", "--suite", "weights", "--trials", "2"], {},
+         {"cat_o", "resolutions", "weyl"}),
     ],
 )
 def test_subcommand_footprint(argv, payload, absent):

@@ -8,8 +8,6 @@ import pytest
 from hovm.holes import (
     CapExceeded,
     HoleSet,
-    ZERO,
-    ZeroModuleError,
     admissible_sets,
     closure_member,
     h_prime,
@@ -60,8 +58,8 @@ def test_transversals_triangle():
 def test_transversals_simple():
     hs = HoleSet({1, 2, 3}, [{1, 2}])
     assert transversals(hs) == [frozenset({1}), frozenset({2})]
-    with pytest.raises(ZeroModuleError):
-        transversals(HoleSet({1}, [set()]))
+    # the zero module: no set hits the empty hole
+    assert transversals(HoleSet({1}, [set()])) == []
     assert transversals(HoleSet({1, 2}, [])) == [frozenset()]
 
 
@@ -71,10 +69,14 @@ def test_transversals_domination_pruning():
     assert transversals(hs) == [frozenset({1, 2}), frozenset({1, 3})]
 
 
-def test_transversals_cap():
+def test_transversals_cap(monkeypatch):
+    # six disjoint pairs: 2^6 partial sets after the last, each a transversal
     big = HoleSet(set(range(1, 13)), [{2 * i + 1, 2 * i + 2} for i in range(6)])
+    monkeypatch.setattr("hovm.holes._TRANSVERSAL_CAP", 64)
+    assert len(transversals(big)) == 64
+    monkeypatch.setattr("hovm.holes._TRANSVERSAL_CAP", 63)
     with pytest.raises(CapExceeded):
-        transversals(big, cap=10)
+        transversals(big)
 
 
 def _quadratic_transversals(holeset, cap):
@@ -95,14 +97,14 @@ def _quadratic_transversals(holeset, cap):
     return sorted(partial, key=lambda p: (len(p), sorted(p)))
 
 
-def _outcome(f, holeset, cap):
+def _outcome(f, *args):
     try:
-        return f(holeset, cap=cap)
+        return f(*args)
     except CapExceeded:
         return "cap"
 
 
-def test_transversals_match_quadratic_pruning():
+def test_transversals_match_quadratic_pruning(monkeypatch):
     rng = random.Random(7)
     for _ in range(300):
         m = rng.randrange(1, 10)
@@ -112,7 +114,8 @@ def test_transversals_match_quadratic_pruning():
         ]
         hs = HoleSet(range(1, m + 1), [s for s in sets if not any(t < s for t in sets)])
         for cap in (10, 10**4):
-            assert _outcome(transversals, hs, cap) == _outcome(
+            monkeypatch.setattr("hovm.holes._TRANSVERSAL_CAP", cap)
+            assert _outcome(transversals, hs) == _outcome(
                 _quadratic_transversals, hs, cap
             ), (hs, cap)
 
@@ -133,7 +136,7 @@ def test_transversals_of_all_k_subsets_are_fast(n, k, budget):
         assert ts == [frozenset(c) for c in itertools.combinations(nodes, n - k + 1)]
 
 
-def test_admissible_sets():
+def test_admissible_sets(monkeypatch):
     fams = admissible_sets(TRIANGLE, 1)
     # one node from each 2-element hole, collected as a set
     assert all(all(len(p) == 1 for p in fam) for fam in fams)
@@ -144,15 +147,21 @@ def test_admissible_sets():
     assert admissible_sets(TRIANGLE, math.inf) == [frozenset(TRIANGLE.min_holes)]
     with pytest.raises(ValueError):
         admissible_sets(TRIANGLE, 0)
+    # 8 choice tuples at k = 1
+    monkeypatch.setattr("hovm.holes._FAMILY_CAP", 8)
+    assert len(admissible_sets(TRIANGLE, 1)) == 4
+    monkeypatch.setattr("hovm.holes._FAMILY_CAP", 7)
     with pytest.raises(CapExceeded):
-        admissible_sets(TRIANGLE, 1, cap=3)
+        admissible_sets(TRIANGLE, 1)
 
 
 def test_h_prime():
     lam = HighestWeight(SL23, [0, -2, 0])  # J = {1, 3}
     hp = h_prime(lam, [frozenset({1, 2}), frozenset({3})])
     assert hp.min_holes == (frozenset({1}), frozenset({3}))
-    assert h_prime(lam, [frozenset({2})]) is ZERO
+    # an empty trace minimalizes to the zero module
+    zero = h_prime(lam, [frozenset({2}), frozenset({1, 2})])
+    assert zero.is_zero() and zero == HoleSet({1, 3}, [set()])
 
 
 def test_order_k_truncations():

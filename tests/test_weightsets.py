@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hovm.holes import HoleSet
 from hovm.oracle import oracle_module, oracle_weights
+from hovm.resolutions import euler_char, koszul_resolution
 from hovm.rootdata import independent_sets, parse_gcm
 from hovm.verify import random_sl2n_spec
 from hovm.weights import HighestWeight, depth_vectors, eval_at, integrability
@@ -168,12 +169,30 @@ def test_weight_set_v00():
     assert len(ws) == 9
 
 
-def test_zero_module():
+def test_zero_module(monkeypatch):
+    # the empty hole takes the general path: it has no transversal
     lam = HighestWeight(SL22, [0, 0])
     spec = HovmSpec(lam, HoleSet({1, 2}, [set()]))
-    assert spec.is_zero()
+    assert spec.min_transversals() == []
     assert weight_set(spec, 5) == set()
+    assert not weight_member(spec, (0, 0))
+    assert psi_k(spec, 1, 5) == psi_k(spec, math.inf, 5) == set()
+    # an empty signed sum builds no partition table
+    with monkeypatch.context() as m:
+        m.setattr("hovm.characters.partition_table", None)
+        assert inclusion_exclusion_char(spec, 5).coeffs == {}
     assert weight_set_minkowski(spec, 5) == set()
+    assert altwts_check(spec, 5)
+    # kept guard: no finite-type character of the affine J_lambda is built
+    affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
+    affine_zero = HovmSpec(affine, HoleSet({1, 2}, [set()]))
+    assert weight_set_minkowski(affine_zero, 3) == set()
+    # its Euler character is an empty sum, still refused outside finite type
+    with pytest.raises(ValueError, match="not of finite type"):
+        euler_char(koszul_resolution(affine, affine_zero.holes), 3)
+    # kept guard: answered before the 2^12 subset cap of |J_lambda| = 13
+    big = HighestWeight(parse_gcm("A1^13"), [0] * 13)
+    assert altwts_check(HovmSpec(big, HoleSet(range(1, 14), [set()])), 1)
 
 
 def test_sl5_rank4_weight_set():
