@@ -123,10 +123,11 @@ def reciprocity_table(bh):
     L(w_K . lambda~) inside the cover of index K2.
     """
     table = {}
-    for K in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
+    index = sorted(bh.simple_index, key=lambda s: (len(s), sorted(s)))
+    for K in index:
         # J of w_K . lambda~ is K* \ K, which meets every hole: never zero
         holes_json = h_prime(bh.block.member(K), bh.holes.min_holes).to_json()
-        for K2 in sorted(bh.simple_index, key=lambda s: (len(s), sorted(s))):
+        for K2 in index:
             lhs = int(K2 <= K)
             rhs = jh_multiplicity(bh, K2, K)
             # the filtration of the projective cover has one subquotient per

@@ -179,13 +179,71 @@ def order_k_truncations(gcm, holeset, k, j_lambda):
     small = [h for h in holeset.min_holes if len(h) <= k]
     upper = HoleSet(j_lambda, small)
     lower_sets = list(small)
-    for combo in itertools.combinations(sorted(j_lambda), k + 1):
-        s = frozenset(combo)
-        if gcm.is_independent(s) and not any(h <= s for h in small):
-            lower_sets.append(s)
-            if len(lower_sets) > _LOWER_HOLE_CAP:
-                raise CapExceeded(_LOWER_HOLE_CAP, len(lower_sets))
+    for s in _independent_sets_avoiding(gcm, sorted(j_lambda), k + 1, small):
+        lower_sets.append(s)
+        if len(lower_sets) > _LOWER_HOLE_CAP:
+            raise CapExceeded(_LOWER_HOLE_CAP, len(lower_sets))
     return upper, HoleSet(j_lambda, lower_sets)
+
+
+def _independent_sets_avoiding(gcm, nodes, size, avoid):
+    """The independent `size`-subsets of the sorted `nodes` that contain no
+    set of `avoid`, in lexicographic order.
+
+    Grown node by node among the later non-neighbours of the nodes chosen.
+    A branch ends once it contains a set to avoid, or once the nodes left
+    cannot complete it: their independence number (a bound off a forest)
+    is too small.  On a forest every other branch reaches a set of the
+    given size.
+    """
+    if frozenset() in avoid:  # contained in every set, the empty one first
+        return
+    adj = {v: frozenset(u for u in nodes if gcm.adjacent(u, v)) for v in nodes}
+    # a set to avoid is contained once its largest node is chosen
+    closing = {}
+    for h in avoid:
+        closing.setdefault(max(h), []).append(h)
+
+    def grow(chosen, candidates):
+        for i, v in enumerate(candidates):
+            s = chosen | {v}
+            if any(h <= s for h in closing.get(v, ())):
+                continue
+            if len(s) == size:
+                yield s
+                continue
+            rest = [u for u in candidates[i + 1:] if u not in adj[v]]
+            if len(s) + _independence_bound(rest, adj) >= size:
+                yield from grow(s, rest)
+
+    yield from grow(frozenset(), nodes)
+
+
+def _independence_bound(nodes, adj):
+    """The independence number of the graph induced on `nodes` if it is a
+    forest, else an upper bound for it.
+
+    A node of degree <= 1 lies in some largest independent set, so it is
+    taken and removed with its neighbour while there is one; the nodes left
+    after that, all of degree >= 2, are all counted.
+    """
+    left = set(nodes)
+    degree = {v: len(adj[v] & left) for v in left}
+    leaves = [v for v in left if degree[v] <= 1]
+    taken = 0
+    while leaves:
+        v = leaves.pop()
+        if v not in left:
+            continue
+        taken += 1
+        left.discard(v)
+        for u in adj[v] & left:
+            left.discard(u)
+            for w in adj[u] & left:
+                degree[w] -= 1
+                if degree[w] <= 1:
+                    leaves.append(w)
+    return taken + len(left)
 
 
 def upper_closure(gcm, holeset):

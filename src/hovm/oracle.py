@@ -3,8 +3,23 @@
 Over sl2^n every highest weight module is M(lambda, H) and is isomorphic
 as an n^- module to C[f_1..f_n] modulo the monomial ideal generated by
 the exponent vectors lambda_H of the minimal holes.  Weights are the
-monomials outside the ideal, generated coordinate by coordinate;
-everything there is plain coordinatewise arithmetic.
+monomials outside the ideal; everything there is plain integer
+arithmetic.
+
+Below a cutoff N a depth vector c of rank n is coded as the integer
+code(c) = sum_i c_i (N+1)^(n-i), c_1 the most significant digit.  No
+coordinate exceeds N, so a code is a number in base N+1, code order is
+lex order, and the last coordinate under a fixed prefix is one range of
+consecutive codes, a run.  The standard monomials and the boxes of
+strings and rays (the simple characters) are generated once, as lists of
+runs; the tuple-valued functions decode each run's prefix once.
+
+The Jordan-Hoelder peel (oracle_jh) is a set cover: every sl2^n weight
+space is a line, so every multiplicity is 1 and the weights not yet
+covered are a set of codes.  Tops are taken in ascending code order;
+lex order extends the componentwise order, so this finds the same
+factors as a peel in (height, lex) order, and they are returned in that
+order.
 
 Over any finite-type Levi: the character of a finite-dimensional simple
 module by Freudenthal's multiplicity recursion (freudenthal_char), a check
@@ -12,11 +27,12 @@ on the alternating Weyl sum of characters.simple_finite_char.
 """
 
 import itertools
+import operator
 
 from . import rootdata
 from .characters import FormalCharacter, on_levi
 from .holes import HoleSet
-from .weights import HighestWeight, depth_vectors, eval_at, integrability
+from .weights import NONINT, HighestWeight, depth_vectors, eval_at, integrability
 from .weights import is_nonneg_int, lambda_H
 
 
@@ -38,41 +54,70 @@ def oracle_module(lam, holeset, N):
     return MonomialModule(lam.gcm, lam, gens, N)
 
 
-def _standard_monomials(mod):
-    """The monomials outside the ideal by height: layer h lists those of
-    height h in lexicographic order.
+def _decode(code, n, radix):
+    """The depth vector of rank n with the given code."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        code, out[i] = divmod(code, radix)
+    return tuple(out)
 
-    Built one coordinate at a time; each prefix carries the generators it
-    dominates so far.  Once a carried generator has no support after the
-    coordinate, its entry there and every larger value lie in the ideal, so
-    the coordinate stops at the least such entry and at the height left.
+
+def _vectors(runs, n, radix):
+    """The depth vectors of the runs, in their order; each run's prefix is
+    decoded once."""
+    for run in runs:
+        rest, start = divmod(run.start, radix)
+        prefix = _decode(rest, n - 1, radix)
+        for v in range(start, start + len(run)):
+            yield prefix + (v,)
+
+
+def _standard_runs(mod):
+    """The monomials outside the ideal as runs of codes, in lex order.
+
+    Built one coordinate at a time; each prefix carries the set of
+    generators it dominates so far, as a bit mask.  Once a carried generator
+    has no support after the coordinate, its entry there and every larger
+    value lie in the ideal, so the coordinate stops at the least such entry
+    and at the height left.
     """
-    n, N = mod.gcm.n, mod.cutoff
-    layers = [[] for _ in range(N + 1)]
+    n, N, gens = mod.gcm.n, mod.cutoff, mod.generators
+    radix = N + 1
     # a generator's last support; the zero generator (the empty hole) stops
     # coordinate 1 at 0, so the zero module has no monomials
-    ends = [max((i for i, a in enumerate(g) if a), default=0) for g in mod.generators]
-    level = [((), 0, list(zip(mod.generators, ends)))]
+    ends = [max((i for i, a in enumerate(g) if a), default=0) for g in gens]
+    level = [(0, 0, (1 << len(gens)) - 1)]  # (code, height, carried mask)
     for i in range(n):
-        nxt = []
-        for prefix, h, live in level:
-            stop = min([N - h + 1] + [g[i] for g, end in live if end == i])
-            if i == n - 1:
-                for v in range(stop):
-                    layers[h + v].append(prefix + (v,))
-            else:
-                nxt.extend((prefix + (v,), h + v, [p for p in live if p[0][i] <= v])
-                           for v in range(stop))
+        # kept[v]: the generators with entry <= v at coordinate i
+        kept = [0] * radix
+        for k, g in enumerate(gens):
+            if g[i] < radix:
+                kept[g[i]] |= 1 << k
+        kept = list(itertools.accumulate(kept, operator.or_))
+        place = radix ** (n - 1 - i)
+        stops, nxt = {}, []
+        for code, h, live in level:
+            stop = stops.get(live)
+            if stop is None:
+                stop = stops[live] = min([radix] + [
+                    g[i] for k, g in enumerate(gens) if live >> k & 1 and ends[k] == i])
+            if stop > N - h:
+                stop = N - h + 1
+            if i < n - 1:
+                nxt.extend([(code + v * place, h + v, live & kept[v]) for v in range(stop)])
+            elif stop:
+                nxt.append(range(code, code + stop))
         level = nxt
-    return layers
+    return level
 
 
 def oracle_weights(mod):
-    return set(itertools.chain(*_standard_monomials(mod)))
+    return set(_vectors(_standard_runs(mod), mod.gcm.n, mod.cutoff + 1))
 
 
 def oracle_char(mod):
-    return FormalCharacter(mod.cutoff, {c: 1 for c in oracle_weights(mod)})
+    vectors = _vectors(_standard_runs(mod), mod.gcm.n, mod.cutoff + 1)
+    return FormalCharacter(mod.cutoff, dict.fromkeys(vectors, 1))
 
 
 def oracle_holes(mod):
@@ -95,54 +140,60 @@ def oracle_holes(mod):
     return HoleSet(J, minimal)
 
 
-def _box(lo, evals, N):
-    """The vectors c of height <= N with c - lo in the box of strings
-    (length ev + 1 at an integrable evaluation) and rays, in lex order.
-    Streamed: only the prefixes of the first n - 1 coordinates are held."""
+def _box_runs(code, left, evals, radix):
+    """The box of strings (length ev + 1 at an integrable evaluation) and
+    rays above the vector with this code, cut at the height `left` still
+    free, as runs of codes in lex order."""
+    n = len(evals)
     # a ray is a string longer than any height below the cut
-    sizes = [ev + 1 if is_nonneg_int(ev) else N + 1 for ev in evals]
-    level = [((), N - sum(lo))] if N >= sum(lo) else []
-    for base, size in zip(lo[:-1], sizes):
-        level = [(prefix + (base + v,), left - v)
-                 for prefix, left in level for v in range(min(left + 1, size))]
-    for prefix, left in level:
-        for v in range(min(left + 1, sizes[-1])):
-            yield prefix + (lo[-1] + v,)
+    sizes = [ev + 1 if is_nonneg_int(ev) else radix for ev in evals]
+    level = [(code, left)] if left >= 0 else []
+    for i in range(n - 1):
+        place, size = radix ** (n - 1 - i), sizes[i]
+        level = [(c + v * place, rest - v)
+                 for c, rest in level for v in range(rest + 1 if rest < size else size)]
+    size = sizes[-1]
+    return [range(c, c + (rest + 1 if rest < size else size)) for c, rest in level]
 
 
 def oracle_simple_char(lam, N):
     """ch L(lambda) over sl2^n: a product of strings and rays per coordinate."""
     if not lam.gcm.is_sl2n:
         raise ValueError("the oracle only models sl2^n")
-    return FormalCharacter(N, dict.fromkeys(_box((0,) * lam.gcm.n, lam.evals, N), 1))
+    runs = _box_runs(0, N, lam.evals, N + 1)
+    return FormalCharacter(N, dict.fromkeys(_vectors(runs, lam.gcm.n, N + 1), 1))
 
 
 def oracle_jh(mod):
-    """Jordan-Hoelder data by triangular peeling of maximal weights.
+    """Jordan-Hoelder data by peeling tops off the standard monomials.
 
-    One pass over the standard monomials in (height, lex) order: a vector
-    with a positive remaining coefficient is the top of a composition
-    factor, whose simple character (a box of strings and rays above it) is
-    subtracted.  A peel changes only vectors at or above its top, which
-    come later in the pass, so the factors come out in (height, lex) order.
-    Exact as long as the cutoff separates the block (all sl2^n weight
-    spaces are lines).
+    Every sl2^n weight space is a line, so every coefficient met in the
+    peel is 0 or 1, and the weights not yet covered by a factor are a set
+    of codes.  The next factor top is the least uncovered code.  Lex order
+    extends the componentwise order, so every vector below that top is
+    settled before it, and the factors are those of a peel in any order
+    extending the componentwise one, (height, lex) included.  The top's
+    simple character, its box of strings and rays, must lie in the
+    uncovered set (else a coefficient would go negative) and is removed
+    from it.  Returns [(top, 1)] in (height, lex) order.  Exact as long as
+    the cutoff separates the block.
     """
-    lam, N = mod.lam, mod.cutoff
-    remaining = dict.fromkeys(itertools.chain(*_standard_monomials(mod)), 1)
-    factors = []
-    # only values change while iterating: a vector outside the weights would
-    # go negative and raise before it is stored
-    for top, mult in remaining.items():
-        if not mult:
-            continue
-        factors.append((top, mult))
-        for c in _box(top, lam_below(lam, top).evals, N):
-            left = remaining.get(c, 0) - mult
-            if left < 0:
+    lam, N, n = mod.lam, mod.cutoff, mod.gcm.n
+    radix = N + 1
+    remaining = set(itertools.chain.from_iterable(_standard_runs(mod)))
+    tops = []
+    while remaining:
+        t = min(remaining)  # every smaller code is covered already
+        top = _decode(t, n, radix)
+        tops.append(top)
+        # <lambda - sum c_i alpha_i, alpha_j^vee> = lambda_j - 2 c_j over sl2^n
+        evals = [e if e is NONINT else e - 2 * c for e, c in zip(lam.evals, top)]
+        for run in _box_runs(t, N - sum(top), evals, radix):
+            if not remaining.issuperset(run):
                 raise AssertionError("negative multiplicity while peeling")
-            remaining[c] = left
-    return factors
+            remaining.difference_update(run)
+    tops.sort(key=lambda c: (sum(c), c))
+    return [(top, 1) for top in tops]
 
 
 def lam_below(lam, c):

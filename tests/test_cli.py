@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -253,6 +254,17 @@ def test_approx(capsys, tmp_path):
         capsys, ["approx", "--k", "1", "--side", "lower"], payload, tmp_path
     )
     assert json.loads(low)["holes"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_approx_lower_sparse_independent_sets(capsys, tmp_path):
+    # 14 of the C(26, 13) 13-subsets of the A26 path are independent; the
+    # walk only grows branches that can still reach one
+    payload = {"algebra": "A26", "lambda": [0] * 26, "holes": [], "N": 1}
+    start = time.perf_counter()
+    code, out = run(capsys, ["approx", "--k", "12", "--side", "lower"], payload, tmp_path)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert len(json.loads(out)["holes"]) == 14
 
 
 def test_reciprocity_and_kl(capsys, tmp_path):

@@ -16,6 +16,7 @@ from hovm.holes import (
     transversals,
     upper_closure,
 )
+from hovm import rootdata
 from hovm.rootdata import parse_gcm
 from hovm.weights import HighestWeight
 
@@ -176,6 +177,39 @@ def test_order_k_truncations():
     upper0, lower0 = order_k_truncations(SL23, TRIANGLE, 0, j)
     assert upper0.min_holes == ()
     assert lower0.min_holes == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+
+def _combinations_walk(gcm, holeset, k, J):
+    """order_k_truncations for k >= 1 by testing every (k+1)-subset."""
+    small = [h for h in holeset.min_holes if len(h) <= k]
+    lower = list(small)
+    for combo in itertools.combinations(sorted(J), k + 1):
+        s = frozenset(combo)
+        if gcm.is_independent(s) and not any(h <= s for h in small):
+            lower.append(s)
+    return HoleSet(J, small), HoleSet(J, lower)
+
+
+# A1 beside the affine A4^(1): once node 1 is chosen the nodes left form a
+# 5-cycle, where the independence bound is not exact
+A1_CYCLE5 = [[2, 0, 0, 0, 0, 0]] + [
+    [0] + [2 if i == j else -1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)]
+    for i in range(5)
+]
+
+
+@pytest.mark.parametrize("algebra", ["A1^5", "A5", "D5", "E6", A1_CYCLE5])
+def test_order_k_truncations_match_combinations_walk(algebra):
+    g = parse_gcm(algebra)
+    J = frozenset(g.nodes)
+    indep = rootdata.independent_sets(g, J)
+    rng = random.Random(3)
+    holesets = [HoleSet(J, []), HoleSet(J, [set()])]
+    holesets += [minimalize(g, J, rng.sample(indep, rng.randint(1, 4))) for _ in range(8)]
+    for holeset in holesets:
+        for k in range(1, g.n + 2):
+            assert order_k_truncations(g, holeset, k, J) == \
+                _combinations_walk(g, holeset, k, J), (holeset, k)
 
 
 def test_order_k_truncations_cap(monkeypatch):

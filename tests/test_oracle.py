@@ -183,3 +183,20 @@ def test_generated_oracle_matches_brute_force():
         zero = oracle_module(lam, HoleSet(integrability(lam), [set()]), 10)
         assert oracle_weights(zero) == set() == _brute_weights(zero)
         assert oracle_jh(zero) == []
+    # the cutoff N = 0 (codes in radix 1) and rank n = 1 (one run)
+    g1 = parse_gcm("A1")
+    for N in (0, 1, 2, 7):
+        _agrees(HighestWeight(g1, [1]), HoleSet({1}, [{1}]), N)
+        _agrees(HighestWeight(g1, [3]), HoleSet({1}, []), N)
+        _agrees(HighestWeight(g1, ["x"]), HoleSet(frozenset(), []), N)
+    _agrees(HighestWeight(g3, [0, 2, 1]), HoleSet({1, 2, 3}, [{1, 2}, {2, 3}]), 0)
+    _agrees(HighestWeight(g3, [1, "x", 0]), HoleSet({1, 3}, [{1}]), 0)
+
+
+def test_jh_refuses_a_box_outside_the_weights():
+    # not a module M(lambda, H): the generator (1, 0) cuts the string of
+    # length 3 above the top (0, 0), so its coefficient at (1, 0) would go
+    # negative
+    lam = HighestWeight(SL22, [2, "x"])
+    with pytest.raises(AssertionError, match="negative multiplicity while peeling"):
+        oracle_jh(MonomialModule(SL22, lam, [(1, 0)], 5))
