@@ -12,9 +12,9 @@ sum_i c_i (T+1)^(i-1) of a vector of height <= T has no digit above T, so
 two vectors whose heights sum to at most T add without a carry: vector
 addition is integer addition.  One index per rank holds every vector of
 height <= T in order of height with its code; the table and the shifted
-sums run on codes and decode once at the end.  Weight sets do not use it:
-they are sparse in that simplex, and walking the full index cost more
-than the tuple sums it saved.
+sums run on codes and decode once at the end.  Weight sets run on codes too
+(hovm.weightsets) but not on this index: they are sparse in its simplex,
+so they decode only the vectors they return.
 """
 
 import itertools
@@ -43,7 +43,7 @@ class FormalCharacter:
     def __init__(self, cutoff, coeffs):
         self.cutoff = cutoff
         self.coeffs = {c: m for c, m in coeffs.items() if m != 0}
-        assert all(height(c) <= cutoff for c in self.coeffs)
+        assert max(map(sum, self.coeffs), default=cutoff) <= cutoff
 
     def __eq__(self, other):
         return (

@@ -21,7 +21,9 @@ class GCM:
     __slots__ = ("n", "a", "_finite")
 
     def __init__(self, rows):
-        a = tuple(tuple(int(x) for x in row) for row in rows)
+        a = tuple(tuple(row) for row in rows)
+        if any(type(x) is not int for row in a for x in row):  # no bool, float or str
+            raise ValueError("Cartan matrix entries must be integers")
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("matrix is not square")
@@ -221,6 +223,8 @@ def parse_gcm(spec):
             if not m:
                 raise ValueError("malformed type factor %r" % factor)
             letter, rank, power = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+            if power < 1:
+                raise ValueError("power must be >= 1 in %r" % factor)
             blocks.extend(_cartan_block(letter, rank) for _ in range(power))
         n = sum(len(b) for b in blocks)
         a = [[0] * n for _ in range(n)]
@@ -232,8 +236,12 @@ def parse_gcm(spec):
             off += len(b)
         for i in range(n):
             a[i][i] = 2
-        return GCM(a)
-    return GCM(spec)
+        gcm = GCM(a)
+    else:
+        gcm = GCM(spec)
+    if not gcm.n:  # restrict() alone builds the rank-0 GCM
+        raise ValueError("rank must be >= 1")
+    return gcm
 
 
 def restrict(gcm, nodes):

@@ -143,7 +143,3 @@ def embed(n, nodes, x):
 
 def height(c):
     return sum(c)
-
-
-def add_vectors(u, v):
-    return tuple(map(operator.add, u, v))

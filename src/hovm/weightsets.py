@@ -5,6 +5,16 @@ transversals J of wt M(lambda, J), each generated slice by slice as the
 weights of Levi modules L_J(nu) cut to the height cutoff.  The Minkowski-sum,
 admissible-set and category-O reformulations are kept as independent
 code paths so they can be cross-checked against each other.
+
+Below the cutoff N every weight set is a set of integer codes,
+code(c) = sum_i c_i ((N+1)^(i-1) + (N+1)^n): the digits base N+1 of c,
+topped by a digit that holds height(c).  Two codes whose heights sum to at
+most N add without a carry, so a code sum is a vector sum; a sum is of
+height <= N exactly when it is below (N+1)^(n+1), and sorted codes run in
+order of height.  Unions, comparisons and Minkowski sums run on codes; each
+public function decodes once, at its return, half by half, so the decoding
+stays proportional to its output.  The character engine's index of every
+vector of height <= N is not used: weight sets are sparse in that simplex.
 """
 
 import bisect
@@ -21,9 +31,7 @@ from .characters import (
 from .holes import CapExceeded, HoleSet, minimalize, transversals
 from .weights import (
     HighestWeight,
-    add_vectors,
     depth_vectors,
-    embed,
     eval_at,
     height,
     integrability,
@@ -39,9 +47,14 @@ _ALT_SUBSET_CAP = 2**12
 
 
 class HovmSpec:
-    """A higher order Verma module M(lambda, H) given by its minimal holes."""
+    """A higher order Verma module M(lambda, H) given by its minimal holes.
 
-    __slots__ = ("gcm", "lam", "holes", "_transversals")
+    It keeps one store of code sets: (frozenset J, N) -> the codes of
+    wt M(lambda, J) up to height N.  The sub-specs of psi_k share it, and so
+    does the Minkowski form's frame when lambda = 0; it dies with the spec.
+    """
+
+    __slots__ = ("gcm", "lam", "holes", "_transversals", "_pvm_codes")
 
     def __init__(self, lam, holeset):
         self.gcm = lam.gcm
@@ -54,6 +67,7 @@ class HovmSpec:
                 raise ValueError("hole is not independent")
         self.holes = holeset
         self._transversals = None
+        self._pvm_codes = {}
 
     def min_transversals(self):
         if self._transversals is None:
@@ -104,6 +118,62 @@ def _levi_weights(a, J, nu, room):
     return found
 
 
+def _places(n, N):
+    """The place value of each coordinate in a code, and the code limit
+    (N+1)^(n+1): the codes of height <= N are exactly those below it."""
+    radix = N + 1
+    top = radix**n
+    return [radix**i + top for i in range(n)], radix * top
+
+
+def _encode(c, places):
+    return sum(map(operator.mul, c, places))
+
+
+def _below(codes, limit):
+    """The codes of a sorted list that are below limit."""
+    return codes[: bisect.bisect_left(codes, limit)]
+
+
+class _Digits(dict):
+    """code -> the tuple of its first `width` digits base `radix`, each
+    computed on first use."""
+
+    __slots__ = ("radix", "width")
+
+    def __init__(self, radix, width):
+        self.radix = radix
+        self.width = width
+
+    def __missing__(self, code):
+        digits = []
+        rest = code
+        for _ in range(self.width):
+            rest, r = divmod(rest, self.radix)
+            digits.append(r)
+        digits = self[code] = tuple(digits)
+        return digits
+
+
+def _decode(codes, n, N):
+    """The depth vectors of these codes.  Each code splits into its first
+    n // 2 digits and the rest; each distinct half is decoded once per call,
+    so the work grows with the output, not with the simplex of height N."""
+    radix, low_width = N + 1, n // 2
+    split, top = radix**low_width, radix**n
+    low, high = _Digits(radix, low_width), _Digits(radix, n - low_width)
+    return {low[c % split] + high[c % top // split] for c in codes}
+
+
+def _code_sum(A, B, limit):
+    """{a + b} over the codes a in A and b in B whose sum is below limit."""
+    B = sorted(B)
+    sums = set()
+    for a in A:
+        sums.update(map(a.__add__, _below(B, limit - a)))
+    return sums
+
+
 def pvm_member(lam, J, c):
     """Is lambda - sum c_i alpha_i a weight of the parabolic Verma M(lambda,J)?
 
@@ -148,65 +218,94 @@ def weight_set(spec, N):
     transversals J of wt M(lambda, J)."""
     if not spec.holes.min_holes:
         return set(depth_vectors(spec.gcm.n, N))
+    return _decode(_weight_codes(spec, N), spec.gcm.n, N)
+
+
+def _weight_codes(spec, N):
+    """The codes of weight_set(spec, N); no holes is the Verma, J empty."""
+    if not spec.holes.min_holes:
+        return _stored_pvm_codes(spec, (), N)
     ts = spec.min_transversals()
-    return set().union(*(pvm_weight_set(spec.lam, J, N) for J in ts))
+    return set().union(*(_stored_pvm_codes(spec, J, N) for J in ts))
+
+
+def _stored_pvm_codes(spec, J, N):
+    """_pvm_codes(spec.lam, J, N), kept in the spec's store."""
+    key = (frozenset(J), N)
+    codes = spec._pvm_codes.get(key)
+    if codes is None:
+        codes = spec._pvm_codes[key] = _pvm_codes(spec.lam, J, N)
+    return codes
 
 
 def pvm_weight_set(lam, J, N):
     """wt M(lambda, J) up to height N, slice by slice: with c_{J^c} fixed the
     c_J are the weights of L_J(nu), nu = lambda - sum_{i not in J} c_i alpha_i
     (Humphreys, Lie algebras, 21.3), cut to N - height(c_{J^c}).
-
-    c_{J^c} runs in order of height, so each slice is built at its tallest cut.
     """
-    J, n = _levi(lam, J), lam.gcm.n
-    K = [i for i in lam.gcm.nodes if i not in J]
-    a = lam.gcm.a
-    # nu_j = lambda_j - sum_{k in K} a_jk c_k, since the depth off J is 0 on J
-    rows = [(lam.evals[j - 1], [a[j - 1][k - 1] for k in K]) for j in J]
+    return _decode(_pvm_codes(lam, J, N), lam.gcm.n, N)
+
+
+def _pvm_codes(lam, J, N):
+    """The codes of pvm_weight_set(lam, J, N).
+
+    nu reads c only on the nodes of J^c adjacent to J.  The other nodes of
+    J^c are free: a slice is the weights of L_J(nu) plus the free simplex,
+    built once per nu as codes.  The adjacent c run in order of height, so
+    each slice is built at its tallest cut, sorted, and cut by bisection for
+    the shorter ones.  With no adjacent node (always over sl2^n) there is
+    one slice, at the full cut, and no sort.
+    """
+    J, a = _levi(lam, J), lam.gcm.a
+    if N < 0:  # no weight, and no radix
+        return set()
+    places, limit = _places(lam.gcm.n, N)
+    top = limit // (N + 1)
+    K = [k for k in lam.gcm.nodes if k not in J]
+    adjacent = [k for k in K if any(a[j - 1][k - 1] for j in J)]
+    free = [0]  # the free simplex, one ray of multiples at a time
+    for k in K:
+        if k not in adjacent:
+            free = sorted(_code_sum(range(0, limit, places[k - 1]), free, limit))
+    J_places = [places[j - 1] for j in J]
+
+    def slice_codes(nu, room):
+        cut = (room + 1) * top
+        out = []
+        for d in _levi_weights(a, J, nu, room):
+            code = _encode(d, J_places)
+            out.extend(map(code.__add__, _below(free, cut - code)))
+        return out
+
+    # nu_j = lambda_j - sum_k a_jk c_k over the adjacent k
+    rows = [(lam.evals[j - 1], [a[j - 1][k - 1] for k in adjacent]) for j in J]
+    if not adjacent:
+        return set(slice_codes([e for e, _ in rows], N))
+    adjacent_places = [places[k - 1] for k in adjacent]
     slices, out = {}, set()
-    for c_K in sorted(depth_vectors(len(K), N), key=height):
-        room = N - height(c_K)
-        off_J = embed(n, K, c_K)
-        nu = tuple(e - sum(map(operator.mul, row, c_K)) for e, row in rows)
-        if nu not in slices:
-            found = _levi_weights(a, J, nu, room)
-            slices[nu] = sorted((height(d), embed(n, J, d)) for d in found)
-        for h, d in slices[nu]:
-            if h > room:
-                break
-            out.add(add_vectors(off_J, d))
+    for c_adj in sorted(depth_vectors(len(adjacent), N), key=height):
+        nu = tuple(e - sum(map(operator.mul, row, c_adj)) for e, row in rows)
+        codes = slices.get(nu)
+        if codes is None:
+            codes = slices[nu] = sorted(slice_codes(nu, N - height(c_adj)))
+        shift = _encode(c_adj, adjacent_places)
+        out.update(map(shift.__add__, _below(codes, limit - shift)))
     return out
 
 
 def _minkowski_sum(A, B, N):
-    """{a + b} cut to height N.
-
-    Summed on the codes sum_i c_i (N+1)^(i-1), which add without a carry
-    below the cut; B is sorted by height and scanned up to N - |a|, and each
-    distinct sum is decoded once by divmod.
-    """
-    B = sorted((height(b), b) for b in B if height(b) <= N)
-    if not A or not B:
+    """{a + b} cut to height N, summed on codes and decoded once."""
+    if N < 0 or not A or not B:
         return set()
-    n, radix = len(B[0][1]), N + 1
-    powers = [radix**i for i in range(n)]
-    heights = [h for h, _ in B]
-    codes = [sum(map(operator.mul, b, powers)) for _, b in B]
-    sums = set()
-    for a in A:
-        room = N - height(a)
-        if room >= 0:
-            shift = sum(map(operator.mul, a, powers))
-            sums.update(map(shift.__add__, codes[: bisect.bisect_right(heights, room)]))
-    out = set()
-    for s in sums:
-        c = []
-        for _ in range(n):
-            s, r = divmod(s, radix)
-            c.append(r)
-        out.add(tuple(c))
-    return out
+    n = len(next(iter(B)))
+    places, limit = _places(n, N)
+    A, B = ([_encode(c, places) for c in X] for X in (A, B))
+    return _decode(_code_sum(A, B, limit), n, N)
+
+
+def _finite_codes(lam, J, N, places):
+    """The codes of the support of L_J^max(lambda), from the character engine."""
+    return [_encode(c, places) for c in simple_finite_char(lam, J, N).support()]
 
 
 def weight_set_minkowski(spec, N):
@@ -218,29 +317,22 @@ def weight_set_minkowski(spec, N):
     """
     if spec.holes.is_zero():  # no finite character over a non-finite J_lambda
         return set()
-    lam = spec.lam
-    J = integrability(lam)
-    finite_part = simple_finite_char(lam, J, N).support()
-    zero = HighestWeight(spec.gcm, [0] * spec.gcm.n)
-    frame_holes = HoleSet(frozenset(spec.gcm.nodes), spec.holes.min_holes)
-    frame = HovmSpec(zero, frame_holes)
-    frame_part = weight_set(frame, N)
-    return _minkowski_sum(finite_part, frame_part, N)
+    lam, n = spec.lam, spec.gcm.n
+    places, limit = _places(n, N)
+    finite_part = _finite_codes(lam, integrability(lam), N, places)
+    zero = HighestWeight(spec.gcm, [0] * n)
+    frame = HovmSpec(zero, HoleSet(frozenset(spec.gcm.nodes), spec.holes.min_holes))
+    if zero == lam:  # the frame's wt M(0, J) are the spec's own
+        frame._pvm_codes = spec._pvm_codes
+    return _decode(_code_sum(finite_part, _weight_codes(frame, N), limit), n, N)
 
 
-def _root_monoid(gcm, generators, N):
-    """All Z>=0-combinations of the generators of height <= N."""
-    out = {tuple([0] * gcm.n)}
-    frontier = set(out)
+def _root_monoid(generators, limit):
+    """The codes of all Z>=0-combinations of the generator codes below limit."""
+    out = frontier = {0}
     while frontier:
-        new = set()
-        for v in frontier:
-            for g in generators:
-                w = add_vectors(v, g)
-                if height(w) <= N and w not in out:
-                    new.add(w)
-        out |= new
-        frontier = new
+        frontier = {c + g for c in frontier for g in generators if c + g < limit} - out
+        out = out | frontier
     return out
 
 
@@ -250,17 +342,16 @@ def minkowski_family_check(lam, J, J2, N):
     J, J2 = frozenset(J), frozenset(J2)
     if not (J <= J2 <= integrability(lam)):
         raise ValueError("need J <= J2 <= J_lambda")
-    lhs = pvm_weight_set(lam, J, N)
+    lhs = _pvm_codes(lam, J, N)
+    places, limit = _places(lam.gcm.n, N)
     roots = rootdata.positive_roots(lam.gcm).positive_roots
     outside = [
-        r for r in roots if any(r[i - 1] != 0 for i in lam.gcm.nodes if i not in J)
+        _encode(r, places)
+        for r in roots
+        if any(r[i - 1] != 0 for i in lam.gcm.nodes if i not in J)
     ]
-    rhs = _minkowski_sum(
-        simple_finite_char(lam, J2, N).support(),
-        _root_monoid(lam.gcm, outside, N),
-        N,
-    )
-    return lhs == rhs
+    finite_part = _finite_codes(lam, J2, N, places)
+    return lhs == _code_sum(finite_part, _root_monoid(outside, limit), limit)
 
 
 def psi_k(spec, k, N):
@@ -270,11 +361,12 @@ def psi_k(spec, k, N):
     """
     if not spec.holes.min_holes:
         return weight_set(spec, N)
-    out = set()
+    codes = set()
     for fam in holes_mod.admissible_sets(spec.holes, k):
         sub = HovmSpec(spec.lam, minimalize(spec.gcm, spec.holes.context, fam))
-        out |= weight_set(sub, N)
-    return out
+        sub._pvm_codes = spec._pvm_codes
+        codes |= _weight_codes(sub, N)
+    return _decode(codes, spec.gcm.n, N)
 
 
 def psi_separating_weight(lam, holeset1, holeset2):
@@ -301,21 +393,24 @@ def altwts_check(spec, N):
     J_lambda = K, so the category test reduces to K hitting every minimal
     hole.  Returns True iff the union matches the transversal-union weight set.
     More than 2^12 subsets (|J_lambda| > 12) raise CapExceeded before any is
-    built.
+    built.  The minimal transversals come from the spec's store; the other K
+    are built here and not kept.
     """
     if spec.holes.is_zero():  # no K hits the empty hole: skip the subset cap
-        return weight_set(spec, N) == set()
+        return _weight_codes(spec, N) == set()
     lam = spec.lam
     J = sorted(integrability(lam))
     if 2 ** len(J) > _ALT_SUBSET_CAP:
         raise CapExceeded(_ALT_SUBSET_CAP, 2 ** len(J))
+    base = _weight_codes(spec, N)
     alt = set()
     for size in range(len(J) + 1):
         for K in itertools.combinations(J, size):
             K = frozenset(K)
             if all(K & h for h in spec.holes.min_holes):
-                alt |= pvm_weight_set(lam, K, N)
-    return alt == weight_set(spec, N)
+                codes = spec._pvm_codes.get((K, N))
+                alt |= _pvm_codes(lam, K, N) if codes is None else codes
+    return alt == base
 
 
 def inclusion_exclusion_char(spec, N):

@@ -333,6 +333,15 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["order-product"], {"algebra": "A4", "holes": [[0], [3]]}),
         (["order-product"], {"algebra": "A4", "holes": [[True], [3]]}),
         (["order-product"], {"algebra": [[2, -2], [-2, 2]], "holes": [[1], [2]]}),
+        # Cartan matrices are taken as given: no float, string or bool entry,
+        # no rank 0
+        (["weights"], {"algebra": [[2.0, -1.7], [-1, 2]], "lambda": [0, 0], "N": 2}),
+        (["weights"], {"algebra": [[2, "-1"], ["-1", 2]], "lambda": [0, 0], "N": 2}),
+        (["weights"], {"algebra": [[2, True], [True, 2]], "lambda": [0, 0], "N": 2}),
+        (["weights"], {"algebra": "A1^0", "lambda": [], "N": 2}),
+        (["weights"], {"algebra": "A1^0xA2", "lambda": [0, 0], "N": 2}),
+        (["weights"], {"algebra": [], "lambda": [], "N": 2}),
+        (["weights"], {"algebra": "A0", "lambda": [], "N": 2}),
     ],
 )
 def test_malformed_values(capsys, tmp_path, argv, payload):

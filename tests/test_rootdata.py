@@ -40,6 +40,24 @@ def test_gcm_validation():
         GCM([[2, -1], [0, 2]])  # asymmetric zero pattern
 
 
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ([[2.0, -1.7], [-1, 2]], "integers"),
+        ([[2, -1.0], [-1, 2]], "integers"),
+        ([[2, "-1"], ["-1", 2]], "integers"),
+        ([[2, False], [False, 2]], "integers"),
+        ("A1^0", "power"),
+        ("A2xA1^0", "power"),
+        ([], "rank"),
+        ("A0", "rank"),
+    ],
+)
+def test_parse_gcm_refuses_coercion_and_rank_0(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_gcm(spec)
+
+
 def test_bcfg_conventions():
     b3 = parse_gcm("B3")
     assert b3.a[1][2] == -2 and b3.a[2][1] == -1

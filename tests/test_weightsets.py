@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,3 +373,115 @@ def test_weak_minkowski_random(seed):
             )
             if sum(bumped) <= 8:
                 assert bumped in ws
+
+
+def _walk_weight_set(spec, N):
+    """wt M(lambda, H) up to height N, vector by vector, by the unbounded walk."""
+    vectors = depth_vectors(spec.gcm.n, N)
+    if not spec.holes.min_holes:
+        return set(vectors)
+    ts = spec.min_transversals()
+    return {c for c in vectors if any(_unbounded_walk_member(spec.lam, T, c) for T in ts)}
+
+
+CODE_CASES = [
+    # (algebra, lambda, holes, N): no weight, radix 1, rank 1, rank 8, "x",
+    # no hole
+    ("A1^2", [1, 0], [[1]], -1),
+    ("A3", [1, 0, 2], [[1], [3]], -1),
+    ("A1", [2], [[1]], 0),
+    ("A1", [2], [[1]], 1),
+    ("A1", [2], [[1]], 7),
+    ("A1", ["x"], [], 3),
+    ("A1^3", [1, 0, 2], [[1, 2], [3]], 0),
+    ("A3", [1, "x", 0], [[1], [3]], 0),
+    ("A3", [1, "x", 0], [[1], [3]], 5),
+    ("B3", [0, 2, "x"], [[2]], 5),
+    ("E8", [0, 1, 0, 0, 2, 0, 0, 1], [[1, 4, 6], [2, 3], [5, 7]], 3),
+    ("E8", [1, 0, "x", 0, 0, 1, 0, 0], [[1], [2, 6]], 3),
+    ("E8", [0, -1, 0, 0, 0, 0, 0, "x"], [], 2),
+]
+
+
+@pytest.mark.parametrize("name,evals,holes,N", CODE_CASES)
+def test_code_paths_match_walk(name, evals, holes, N):
+    """Every formula on codes, at radix 1, rank 1 and rank 8 (eight digits
+    and the height digit), against the per-vector walk."""
+    lam = HighestWeight(parse_gcm(name), evals)
+    spec = spec_from_sets(lam, [frozenset(h) for h in holes])
+    want = _walk_weight_set(spec, N)
+    assert weight_set(spec, N) == want
+    assert weight_set_minkowski(spec, N) == want
+    for k in (1, 2, math.inf):
+        assert psi_k(spec, k, N) == want
+    assert altwts_check(spec, N)
+    for T in spec.min_transversals() or [frozenset()]:
+        assert pvm_weight_set(lam, T, N) == {
+            c for c in depth_vectors(lam.gcm.n, N) if _unbounded_walk_member(lam, T, c)
+        }
+
+
+def test_empty_J_is_the_verma():
+    lam = HighestWeight(parse_gcm("A3"), ["x", 2, -1])
+    for N in (0, 1, 4):
+        assert pvm_weight_set(lam, set(), N) == set(depth_vectors(3, N))
+
+
+def test_refusals_come_before_any_code(monkeypatch):
+    def no_codes(*args):
+        raise AssertionError("code work started")
+
+    monkeypatch.setattr("hovm.weightsets._places", no_codes)
+    affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
+    spec = spec_from_sets(affine, [{1}, {2}])
+    for call in (
+        lambda: weight_set(spec, 4),
+        lambda: psi_k(spec, 1, 4),
+        lambda: altwts_check(spec, 4),
+        lambda: pvm_weight_set(affine, {1, 2}, 4),
+    ):
+        with pytest.raises(ValueError, match="finite type"):
+            call()
+    with pytest.raises(ValueError, match="integrable"):
+        pvm_weight_set(HighestWeight(SL22, ["x", 0]), {1}, 3)
+
+
+def test_one_spec_at_several_heights():
+    """The spec's store is keyed by height: asked at N = 4, 8, 4, one spec
+    answers as a fresh spec does, and so do psi_k and the alternate union
+    after weight_set at another height."""
+    lam = HighestWeight(parse_gcm("A4"), [1, 0, 2, 0])
+    holes = [{1, 3}, {2}, {4}]
+    spec = spec_from_sets(lam, holes)
+    for N in (4, 8, 4):
+        fresh = spec_from_sets(lam, holes)
+        assert weight_set(spec, N) == weight_set(fresh, N)
+        assert psi_k(spec, 2, N + 1) == weight_set(spec_from_sets(lam, holes), N + 1)
+        assert weight_set_minkowski(spec, N) == weight_set(fresh, N)
+    zero = HighestWeight(SL23, [0, 0, 0])  # the Minkowski frame shares this store
+    spec = spec_from_sets(zero, [{1, 2}, {3}])
+    weight_set(spec, 3)
+    assert weight_set_minkowski(spec, 5) == weight_set(spec_from_sets(zero, [{1, 2}, {3}]), 5)
+    assert altwts_check(spec, 6) and psi_k(spec, 1, 2) == _walk_weight_set(spec, 2)
+
+
+def test_store_holds_the_minimal_transversals_only():
+    lam = HighestWeight(parse_gcm("A1^4"), [1, 0, 2, 1])
+    spec = spec_from_sets(lam, [{1, 2}, {3}])
+    assert spec._pvm_codes == {}
+    weight_set(spec, 5)
+    keys = {(T, 5) for T in spec.min_transversals()}
+    assert set(spec._pvm_codes) == keys
+    assert altwts_check(spec, 5)  # builds every K that hits each hole, keeps none
+    assert set(spec._pvm_codes) == keys
+    assert spec_from_sets(lam, [{1, 2}, {3}])._pvm_codes == {}
+
+
+def test_sparse_weight_set_decodes_its_output_only():
+    # the parabolic Verma of E8 on all nodes at lambda = 0 is L(0): one weight,
+    # found without touching the C(68, 8) vectors of height <= 60
+    lam = HighestWeight(parse_gcm("E8"), [0] * 8)
+    spec = spec_from_sets(lam, [{i} for i in range(1, 9)])
+    start = time.perf_counter()
+    assert weight_set(spec, 60) == {(0,) * 8}
+    assert time.perf_counter() - start < 0.5
