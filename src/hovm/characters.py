@@ -7,22 +7,18 @@ ch M(0), kept per GCM; Verma, parabolic Verma and finite-dimensional
 simple characters, and the Euler characters of the resolutions, are
 signed sums of its shifts (shifted_partition_sum).
 
-The engine adds depth vectors as integers.  Below a cut T, the code
-sum_i c_i (T+1)^(i-1) of a vector of height <= T has no digit above T, so
-two vectors whose heights sum to at most T add without a carry: vector
-addition is integer addition.  One index per rank holds every vector of
-height <= T in order of height with its code; the table and the shifted
-sums run on codes and decode once at the end.  Weight sets run on codes too
-(hovm.weightsets) but not on this index: they are sparse in its simplex,
-so they decode only the vectors they return.
+The engine adds depth vectors as integers, on the library's code of depth
+vectors (hovm.weights.DepthCode): two vectors whose heights sum to at most
+the cutoff add without a carry, so vector addition is integer addition.
+The table keeps the codes of its keys, in order of height, and the map back;
+the shifted sums run on codes and decode once at the end.  Weight sets run
+on the same code (hovm.weightsets) but not on this table's list of codes:
+they are sparse in its simplex, so they decode only the vectors they return.
 """
-
-import itertools
-import math
-import operator
 
 from . import rootdata
 from .weights import (
+    DepthCode,
     HighestWeight,
     depth_vectors,
     dot_reflect,
@@ -31,10 +27,8 @@ from .weights import (
     integrability,
 )
 
-# One truncated ch M(0) per GCM and one code index per rank, each replaced
-# only by a taller one.
+# One truncated ch M(0) per GCM, replaced only by a taller one.
 _tables = {}
-_indexes = {}
 
 
 class FormalCharacter:
@@ -85,32 +79,36 @@ class FormalCharacter:
         }
 
 
-class _Index:
-    """The depth vectors of rank n and height <= cutoff in order of height
-    (lexicographic within a height), their codes sum_i c_i (cutoff+1)^(i-1),
-    the map from code back to vector, and upto[h] = C(h+n, n), the number of
-    vectors of height <= h.  A taller index extends the same order, so a
-    table laid out on a shorter one stays aligned with it."""
+class _Table:
+    """ch M(0) of one GCM as a FormalCharacter, with the code of its cutoff,
+    the codes of its keys in their order (height, then lex) and the map back."""
 
-    __slots__ = ("cutoff", "vectors", "codes", "decode", "upto", "powers")
+    __slots__ = ("char", "code", "codes", "decode")
 
-    def __init__(self, n, cutoff):
-        self.cutoff = cutoff
-        self.powers = [(cutoff + 1) ** i for i in range(n)]
-        self.vectors = sorted(depth_vectors(n, cutoff), key=height)
-        self.codes = [self.encode(c) for c in self.vectors]
-        self.decode = dict(zip(self.codes, self.vectors))
-        self.upto = [math.comb(h + n, n) for h in range(cutoff + 1)]
-
-    def encode(self, c):
-        return sum(map(operator.mul, c, self.powers))
+    def __init__(self, char, code, codes, decode):
+        self.char, self.code, self.codes, self.decode = char, code, codes, decode
 
 
-def _index(n, N):
-    index = _indexes.get(n)
-    if index is None or index.cutoff < N:
-        index = _indexes[n] = _Index(n, max(N, 0))
-    return index
+def _table(gcm, N):
+    """The _Table of gcm, built for height N unless one as tall is kept."""
+    table = _tables.get(gcm)
+    if table is not None and table.char.cutoff >= N:
+        return table
+    N = max(N, 0)
+    code = DepthCode(gcm.n, N)
+    vectors = sorted(depth_vectors(gcm.n, N), key=height)
+    codes = list(map(code.encode, vectors))
+    counts = dict.fromkeys(codes, 0)
+    counts[0] = 1
+    for beta in rootdata.positive_roots(gcm).positive_roots:
+        if height(beta) > N:
+            continue
+        step = code.encode(beta)
+        for i in code.cut(codes, code.limit - step):
+            counts[i + step] += counts[i]
+    char = FormalCharacter(N, dict(zip(vectors, counts.values())))
+    table = _tables[gcm] = _Table(char, code, codes, dict(zip(codes, vectors)))
+    return table
 
 
 def partition_table(gcm, N):
@@ -119,24 +117,11 @@ def partition_table(gcm, N):
 
     Coin change on codes: one pass per positive root beta of height <= N,
     counts[i + code(beta)] += counts[i] over the codes i of height
-    <= N - |beta| in order of height, the order of the keys too.  Kept per
-    GCM, rebuilt only for a taller N; callers must not mutate it.
+    <= N - |beta| (those with i + code(beta) below the limit) in order of
+    height, the order of the keys too.  Kept per GCM, rebuilt only for a
+    taller N; callers must not mutate it.
     """
-    table = _tables.get(gcm)
-    if table is not None and table.cutoff >= N:
-        return table
-    N = max(N, 0)
-    index = _index(gcm.n, N)
-    counts = dict.fromkeys(index.codes[: index.upto[N]], 0)
-    counts[0] = 1
-    for beta in rootdata.positive_roots(gcm).positive_roots:
-        if height(beta) > N:
-            continue
-        step = index.encode(beta)
-        for i in index.codes[: index.upto[N - height(beta)]]:
-            counts[i + step] += counts[i]
-    table = _tables[gcm] = FormalCharacter(N, dict(zip(index.vectors, counts.values())))
-    return table
+    return _table(gcm, N).char
 
 
 def kostant_partition(gcm, beta):
@@ -162,23 +147,21 @@ def shifted_partition_sum(gcm, terms, N):
         # GCMs that the table's positive roots would
         rootdata.positive_roots(gcm)
         return FormalCharacter(N, {})
-    table = partition_table(gcm, N).coeffs
-    index = _index(gcm.n, N)
+    table = _table(gcm, N)
+    code, codes, values = table.code, table.codes, table.char.coeffs.values()
     coeffs = {}
     for d, sign in numerator.items():
         if not sign:
             continue
-        shift = index.encode(d)
-        # every depth vector has a partition, so the table's first
-        # upto[room] values are exactly those of height <= room
-        prefix = itertools.islice(
-            zip(index.codes, table.values()), index.upto[N - height(d)]
-        )
+        shift = code.encode(d)
+        # every depth vector has a partition, so the table's values line up
+        # with its codes, and those of height <= N - |d| come first
+        prefix = zip(code.cut(codes, (N - height(d) + 1) * code.top), values)
         for c, m in prefix:
             c += shift
             coeffs[c] = coeffs.get(c, 0) + sign * m
-    decode = index.decode
-    return FormalCharacter(N, {decode[c]: m for c, m in coeffs.items()})
+    decode = table.decode
+    return FormalCharacter(N, {decode[c]: m for c, m in coeffs.items() if m})
 
 
 def dot_orbit_terms(lam, J, N):

@@ -40,19 +40,20 @@ def _load_payload(args):
 def _gcm_of(payload):
     if "algebra" not in payload:
         raise ValueError("missing 'algebra'")
-    try:
-        return rootdata.parse_gcm(payload["algebra"])
-    except TypeError as e:
-        raise ValueError(str(e))
+    algebra = payload["algebra"]
+    if not isinstance(algebra, str) and not (
+        isinstance(algebra, list) and all(isinstance(row, list) for row in algebra)
+    ):
+        raise ValueError("'algebra' must be a type string or an array of rows")
+    return rootdata.parse_gcm(algebra)
 
 
 def _lam_of(payload, gcm):
     if "lambda" not in payload:
         raise ValueError("missing 'lambda'")
-    try:
-        return HighestWeight(gcm, payload["lambda"])
-    except TypeError as e:
-        raise ValueError(str(e))
+    if not isinstance(payload["lambda"], list):
+        raise ValueError("'lambda' must be an array")
+    return HighestWeight(gcm, payload["lambda"])
 
 
 def _hole_list(payload, gcm):

@@ -4,8 +4,16 @@ A highest weight lambda is stored as the vector of pairings
 <lambda, alpha_i^vee>; each entry is either an integer or the generic
 non-integral marker NONINT.  A weight mu = lambda - sum_i c_i alpha_i
 below lambda is encoded by its depth vector c (nonnegative integers).
+
+Below a height cutoff N the library codes a depth vector as one integer,
+code(c) = sum_i c_i ((N+1)^(n-i) + (N+1)^n): the digits base N+1 of c,
+c_1 the most significant, below a top digit that holds height(c)
+(DepthCode).  Sorted codes run in (height, lex) order; two codes whose
+heights sum to at most N add without a carry, so a code sum is a vector
+sum; and height(c) <= h exactly when code(c) < (h+1) (N+1)^n.
 """
 
+import bisect
 import itertools
 import operator
 
@@ -143,3 +151,53 @@ def embed(n, nodes, x):
 
 def height(c):
     return sum(c)
+
+
+class DepthCode:
+    """The code of the depth vectors of rank n and height <= N (see above):
+    places[i - 1] is the place value of c_i, top = (N+1)^n that of the
+    height digit, and limit = (N+1) top, the least code of height N + 1."""
+
+    __slots__ = ("n", "radix", "places", "top", "limit")
+
+    def __init__(self, n, N):
+        radix = N + 1
+        top = radix**n
+        self.n, self.radix, self.top, self.limit = n, radix, top, radix * top
+        self.places = [radix ** (n - i) + top for i in range(1, n + 1)]
+
+    def encode(self, c):
+        return sum(map(operator.mul, c, self.places))
+
+    def decode(self, codes):
+        """The set of depth vectors of these codes.  Each code splits into
+        its first n - n // 2 digits and the rest, and each distinct half is
+        decoded once per call, so the work grows with the codes given, not
+        with the simplex of height N."""
+        radix, low_width, top = self.radix, self.n // 2, self.top
+        split = radix**low_width
+        high, low = _Digits(radix, self.n - low_width), _Digits(radix, low_width)
+        return {high[c % top // split] + low[c % split] for c in codes}
+
+    @staticmethod
+    def cut(codes, bound):
+        """The codes of a sorted list that are below bound, as an iterator."""
+        return itertools.islice(codes, bisect.bisect_left(codes, bound))
+
+
+class _Digits(dict):
+    """code -> the tuple of its last `width` digits base `radix`, most
+    significant first, each computed on first use."""
+
+    __slots__ = ("radix", "width")
+
+    def __init__(self, radix, width):
+        self.radix = radix
+        self.width = width
+
+    def __missing__(self, code):
+        digits, rest = [0] * self.width, code
+        for i in range(self.width - 1, -1, -1):
+            rest, digits[i] = divmod(rest, self.radix)
+        digits = self[code] = tuple(digits)
+        return digits

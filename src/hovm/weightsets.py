@@ -6,18 +6,17 @@ weights of Levi modules L_J(nu) cut to the height cutoff.  The Minkowski-sum,
 admissible-set and category-O reformulations are kept as independent
 code paths so they can be cross-checked against each other.
 
-Below the cutoff N every weight set is a set of integer codes,
-code(c) = sum_i c_i ((N+1)^(i-1) + (N+1)^n): the digits base N+1 of c,
-topped by a digit that holds height(c).  Two codes whose heights sum to at
-most N add without a carry, so a code sum is a vector sum; a sum is of
-height <= N exactly when it is below (N+1)^(n+1), and sorted codes run in
-order of height.  Unions, comparisons and Minkowski sums run on codes; each
-public function decodes once, at its return, half by half, so the decoding
-stays proportional to its output.  The character engine's index of every
-vector of height <= N is not used: weight sets are sparse in that simplex.
+Below the cutoff N every weight set is a set of integer codes, on the
+library's code of depth vectors (hovm.weights.DepthCode): the digits base
+N+1 of c below a top digit that holds height(c).  A code sum of heights
+summing to at most N is a vector sum, it is of height <= N exactly when it
+is below the code's limit, and sorted codes run in order of height.
+Unions, comparisons and Minkowski sums run on codes; each public function
+decodes once, at its return, half by half, so the decoding stays
+proportional to its output.  The character engine's list of every code of
+height <= N is not used: weight sets are sparse in that simplex.
 """
 
-import bisect
 import itertools
 import operator
 
@@ -30,6 +29,7 @@ from .characters import (
 )
 from .holes import CapExceeded, HoleSet, minimalize, transversals
 from .weights import (
+    DepthCode,
     HighestWeight,
     depth_vectors,
     eval_at,
@@ -91,78 +91,33 @@ def _levi(lam, J):
     return J
 
 
-def _levi_weights(a, J, nu, room):
-    """Depths d over J (ordered as J) of the weights of L_J(nu) with height
-    <= room, as a dict to their J-evaluations; nu is given by its own.
+def _levi_weights(steps, nu, room, top):
+    """The codes of the weights of L_J(nu) with height <= room, as a dict to
+    their J-evaluations; nu is given by its own.  steps[p][t - 1] is the code
+    of t alpha_j and what it takes off the J-evaluations, j the p-th node of
+    J, for t = 1..room at least; top is the place of the height digit.
 
-    Downward closure under alpha_j-strings: from depth d with evaluation
-    e > 0 at j, add d + t u_j (u_j the unit vector at j) for t = 1..min(e,
-    room - height(d)).  Exact by two facts: every alpha_j-string of weights
-    is unbroken and as long as the evaluation at its top (Kac, Prop. 3.6);
-    every weight other than nu lies on a string whose top has smaller
-    height (Humphreys, Lie algebras, 21.3), so all within the cut are found.
+    Downward closure under alpha_j-strings: from a weight with evaluation
+    e > 0 at j, add t alpha_j below it for t = 1..min(e, room - its height).
+    Exact by two facts: every alpha_j-string of weights is unbroken and as
+    long as the evaluation at its top (Kac, Prop. 3.6); every weight other
+    than nu lies on a string whose top has smaller height (Humphreys, Lie
+    algebras, 21.3), so all within the cut are found.
     """
-    cols = [[a[k - 1][j - 1] for k in J] for j in J]
-    found = {tuple([0] * len(J)): tuple(nu)}
-    stack = list(found)
+    found = {0: tuple(nu)}
+    stack = [0]
     while stack:
-        d = stack.pop()
-        ev = found[d]
-        free = room - sum(d)
-        for p, e in enumerate(ev):
-            for t in range(1, min(e, free) + 1):
-                d2 = d[:p] + (d[p] + t,) + d[p + 1:]
-                if d2 not in found:
-                    found[d2] = tuple(x - t * y for x, y in zip(ev, cols[p]))
-                    stack.append(d2)
+        code = stack.pop()
+        ev = found[code]
+        free = room - code // top
+        for step, e in zip(steps, ev):
+            if e > 0:
+                for shift, col in step[: min(e, free)]:
+                    code2 = code + shift
+                    if code2 not in found:
+                        found[code2] = tuple(map(operator.sub, ev, col))
+                        stack.append(code2)
     return found
-
-
-def _places(n, N):
-    """The place value of each coordinate in a code, and the code limit
-    (N+1)^(n+1): the codes of height <= N are exactly those below it."""
-    radix = N + 1
-    top = radix**n
-    return [radix**i + top for i in range(n)], radix * top
-
-
-def _encode(c, places):
-    return sum(map(operator.mul, c, places))
-
-
-def _below(codes, limit):
-    """The codes of a sorted list that are below limit."""
-    return codes[: bisect.bisect_left(codes, limit)]
-
-
-class _Digits(dict):
-    """code -> the tuple of its first `width` digits base `radix`, each
-    computed on first use."""
-
-    __slots__ = ("radix", "width")
-
-    def __init__(self, radix, width):
-        self.radix = radix
-        self.width = width
-
-    def __missing__(self, code):
-        digits = []
-        rest = code
-        for _ in range(self.width):
-            rest, r = divmod(rest, self.radix)
-            digits.append(r)
-        digits = self[code] = tuple(digits)
-        return digits
-
-
-def _decode(codes, n, N):
-    """The depth vectors of these codes.  Each code splits into its first
-    n // 2 digits and the rest; each distinct half is decoded once per call,
-    so the work grows with the output, not with the simplex of height N."""
-    radix, low_width = N + 1, n // 2
-    split, top = radix**low_width, radix**n
-    low, high = _Digits(radix, low_width), _Digits(radix, n - low_width)
-    return {low[c % split] + high[c % top // split] for c in codes}
 
 
 def _code_sum(A, B, limit):
@@ -170,7 +125,7 @@ def _code_sum(A, B, limit):
     B = sorted(B)
     sums = set()
     for a in A:
-        sums.update(map(a.__add__, _below(B, limit - a)))
+        sums.update(map(a.__add__, DepthCode.cut(B, limit - a)))
     return sums
 
 
@@ -218,7 +173,8 @@ def weight_set(spec, N):
     transversals J of wt M(lambda, J)."""
     if not spec.holes.min_holes:
         return set(depth_vectors(spec.gcm.n, N))
-    return _decode(_weight_codes(spec, N), spec.gcm.n, N)
+    codes = _weight_codes(spec, N)
+    return DepthCode(spec.gcm.n, N).decode(codes)
 
 
 def _weight_codes(spec, N):
@@ -243,7 +199,8 @@ def pvm_weight_set(lam, J, N):
     c_J are the weights of L_J(nu), nu = lambda - sum_{i not in J} c_i alpha_i
     (Humphreys, Lie algebras, 21.3), cut to N - height(c_{J^c}).
     """
-    return _decode(_pvm_codes(lam, J, N), lam.gcm.n, N)
+    codes = _pvm_codes(lam, J, N)
+    return DepthCode(lam.gcm.n, N).decode(codes)
 
 
 def _pvm_codes(lam, J, N):
@@ -259,22 +216,24 @@ def _pvm_codes(lam, J, N):
     J, a = _levi(lam, J), lam.gcm.a
     if N < 0:  # no weight, and no radix
         return set()
-    places, limit = _places(lam.gcm.n, N)
-    top = limit // (N + 1)
+    code = DepthCode(lam.gcm.n, N)
+    places, top, limit = code.places, code.top, code.limit
     K = [k for k in lam.gcm.nodes if k not in J]
     adjacent = [k for k in K if any(a[j - 1][k - 1] for j in J)]
     free = [0]  # the free simplex, one ray of multiples at a time
     for k in K:
         if k not in adjacent:
             free = sorted(_code_sum(range(0, limit, places[k - 1]), free, limit))
-    J_places = [places[j - 1] for j in J]
+    steps = [
+        [(t * places[j - 1], [t * a[k - 1][j - 1] for k in J]) for t in range(1, N + 1)]
+        for j in J
+    ]
 
     def slice_codes(nu, room):
         cut = (room + 1) * top
         out = []
-        for d in _levi_weights(a, J, nu, room):
-            code = _encode(d, J_places)
-            out.extend(map(code.__add__, _below(free, cut - code)))
+        for c in _levi_weights(steps, nu, room, top):
+            out.extend(map(c.__add__, code.cut(free, cut - c)))
         return out
 
     # nu_j = lambda_j - sum_k a_jk c_k over the adjacent k
@@ -288,24 +247,14 @@ def _pvm_codes(lam, J, N):
         codes = slices.get(nu)
         if codes is None:
             codes = slices[nu] = sorted(slice_codes(nu, N - height(c_adj)))
-        shift = _encode(c_adj, adjacent_places)
-        out.update(map(shift.__add__, _below(codes, limit - shift)))
+        shift = sum(map(operator.mul, c_adj, adjacent_places))
+        out.update(map(shift.__add__, code.cut(codes, limit - shift)))
     return out
 
 
-def _minkowski_sum(A, B, N):
-    """{a + b} cut to height N, summed on codes and decoded once."""
-    if N < 0 or not A or not B:
-        return set()
-    n = len(next(iter(B)))
-    places, limit = _places(n, N)
-    A, B = ([_encode(c, places) for c in X] for X in (A, B))
-    return _decode(_code_sum(A, B, limit), n, N)
-
-
-def _finite_codes(lam, J, N, places):
+def _finite_codes(lam, J, N, code):
     """The codes of the support of L_J^max(lambda), from the character engine."""
-    return [_encode(c, places) for c in simple_finite_char(lam, J, N).support()]
+    return [code.encode(c) for c in simple_finite_char(lam, J, N).support()]
 
 
 def weight_set_minkowski(spec, N):
@@ -318,13 +267,13 @@ def weight_set_minkowski(spec, N):
     if spec.holes.is_zero():  # no finite character over a non-finite J_lambda
         return set()
     lam, n = spec.lam, spec.gcm.n
-    places, limit = _places(n, N)
-    finite_part = _finite_codes(lam, integrability(lam), N, places)
+    code = DepthCode(n, N)
+    finite_part = _finite_codes(lam, integrability(lam), N, code)
     zero = HighestWeight(spec.gcm, [0] * n)
     frame = HovmSpec(zero, HoleSet(frozenset(spec.gcm.nodes), spec.holes.min_holes))
     if zero == lam:  # the frame's wt M(0, J) are the spec's own
         frame._pvm_codes = spec._pvm_codes
-    return _decode(_code_sum(finite_part, _weight_codes(frame, N), limit), n, N)
+    return code.decode(_code_sum(finite_part, _weight_codes(frame, N), code.limit))
 
 
 def _root_monoid(generators, limit):
@@ -343,14 +292,15 @@ def minkowski_family_check(lam, J, J2, N):
     if not (J <= J2 <= integrability(lam)):
         raise ValueError("need J <= J2 <= J_lambda")
     lhs = _pvm_codes(lam, J, N)
-    places, limit = _places(lam.gcm.n, N)
+    code = DepthCode(lam.gcm.n, N)
     roots = rootdata.positive_roots(lam.gcm).positive_roots
     outside = [
-        _encode(r, places)
+        code.encode(r)
         for r in roots
         if any(r[i - 1] != 0 for i in lam.gcm.nodes if i not in J)
     ]
-    finite_part = _finite_codes(lam, J2, N, places)
+    finite_part = _finite_codes(lam, J2, N, code)
+    limit = code.limit
     return lhs == _code_sum(finite_part, _root_monoid(outside, limit), limit)
 
 
@@ -366,7 +316,7 @@ def psi_k(spec, k, N):
         sub = HovmSpec(spec.lam, minimalize(spec.gcm, spec.holes.context, fam))
         sub._pvm_codes = spec._pvm_codes
         codes |= _weight_codes(sub, N)
-    return _decode(codes, spec.gcm.n, N)
+    return DepthCode(spec.gcm.n, N).decode(codes)
 
 
 def psi_separating_weight(lam, holeset1, holeset2):

@@ -73,31 +73,22 @@ def test_partition_table_grows_in_place():
     small = dict(partition_table(g, 4).coeffs)
     tall = partition_table(g, 8)
     assert set(characters._tables) == before | {g}
-    assert characters._tables[g] is tall and tall.cutoff == 8
+    assert characters._tables[g].char is tall and tall.cutoff == 8
     assert {c: tall.coeffs[c] for c in small} == small
     assert partition_table(g, 4) is tall  # a shorter N reuses the taller table
 
 
-def test_code_index_grows_in_place():
+def test_tables_of_one_rank_stay_apart():
+    # C3 at N = 4, then B3 (same rank) at N = 8: C3 still answers at a
+    # taller N, by its own table, on the code of its own new cutoff
     c3, b3 = parse_gcm("C3"), parse_gcm("B3")
     for g in (c3, b3):
         characters._tables.pop(g, None)
-    characters._indexes.pop(3, None)
-    before = set(characters._indexes)
-    partition_table(c3, 4)
-    small = characters._indexes[3]
-    assert small.cutoff == 4 and set(characters._indexes) == before | {3}
-    partition_table(b3, 8)  # another algebra of the same rank, taller
-    tall = characters._indexes[3]
-    assert tall.cutoff == 8 and set(characters._indexes) == before | {3}
-    # the taller index extends the height order, so tables stay aligned
-    assert tall.vectors[: len(small.vectors)] == small.vectors
-    assert list(partition_table(c3, 4).coeffs) == small.vectors
-    assert shifted_partition_sum(c3, [(1, (0, 0, 0))], 6) == partition_table(c3, 6)
-    assert characters._indexes[3] is tall  # a shorter N reuses the taller index
-    assert [tall.decode[tall.encode(c)] for c in tall.vectors] == tall.vectors
-    assert tall.upto == [math.comb(h + 3, 3) for h in range(9)]
-    assert [sum(height(c) <= h for c in tall.vectors) for h in range(9)] == tall.upto
+    assert partition_table(c3, 4).coeffs == _tuple_table(c3, 4)
+    assert partition_table(b3, 8).coeffs == _tuple_table(b3, 8)
+    want = FormalCharacter(6, _tuple_table(c3, 6))
+    assert shifted_partition_sum(c3, [(1, (0, 0, 0))], 6) == want
+    assert list(partition_table(c3, 6).coeffs.items()) == list(want.coeffs.items())
 
 
 def _tuple_table(gcm, N):

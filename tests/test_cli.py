@@ -342,16 +342,25 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["weights"], {"algebra": "A1^0xA2", "lambda": [0, 0], "N": 2}),
         (["weights"], {"algebra": [], "lambda": [], "N": 2}),
         (["weights"], {"algebra": "A0", "lambda": [], "N": 2}),
+        # lambda must be an array (an object is not read as its keys), the
+        # algebra a type string or an array of rows
+        (["weights"], {"algebra": "A1", "lambda": {"x": 5}, "holes": [], "N": 2}),
+        (["weights"], {"algebra": "A1", "lambda": None, "holes": [], "N": 2}),
+        (["weights"], {"algebra": 7, "lambda": [0], "holes": [], "N": 2}),
+        (["weights"], {"algebra": None, "lambda": [0], "holes": [], "N": 2}),
     ],
 )
 def test_malformed_values(capsys, tmp_path, argv, payload):
-    # never coerced, never a traceback: exit 2 with one JSON error
+    # never coerced, never a traceback: exit 2 with one JSON error, which is
+    # not the text of a Python TypeError
     path = tmp_path / "job.json"
     path.write_text(json.dumps(payload))
     code = main(argv + ["--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert list(json.loads(captured.out)) == ["error"]
+    error = json.loads(captured.out)
+    assert list(error) == ["error"]
+    assert "object is not iterable" not in error["error"]
     assert captured.err == ""
 
 

@@ -4,11 +4,13 @@ import pytest
 
 from hovm.rootdata import parse_gcm
 from hovm.weights import (
+    DepthCode,
     HighestWeight,
     NONINT,
     depth_vectors,
     dot_reflect,
     eval_at,
+    height,
     integrability,
     lambda_H,
 )
@@ -115,3 +117,42 @@ def test_depth_vectors():
     assert vs == sorted(vs)
     assert all(sum(v) <= 3 for v in vs)
     assert list(depth_vectors(1, 0)) == [(0,)]
+
+
+def _check_code(n, N, vectors):
+    """The properties of DepthCode(n, N) on these depth vectors of height
+    <= N, and on all of height N + 1 and N + 2."""
+    code = DepthCode(n, N)
+    codes = [code.encode(c) for c in vectors]
+    by_height = sorted(vectors, key=lambda c: (height(c), c))
+    assert sorted(codes) == [code.encode(c) for c in by_height]
+    assert code.decode(codes) == set(vectors)
+    assert all(code.decode([x]) == {c} for x, c in zip(codes, vectors))
+    taller = [c for c in depth_vectors(n, N + 2) if height(c) > N]
+    assert all(x < code.limit for x in codes)
+    assert all(code.encode(c) >= code.limit for c in taller)
+    for h in range(N + 1):
+        cut = list(DepthCode.cut(sorted(codes), (h + 1) * code.top))
+        assert cut == sorted(x for x, c in zip(codes, vectors) if height(c) <= h)
+    return code, codes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5])
+def test_depth_code(n, N):
+    vectors = list(depth_vectors(n, N))
+    code, codes = _check_code(n, N, vectors)
+    # no carry: the code of a sum is the sum of the codes
+    for a, x in zip(vectors, codes):
+        for b, y in zip(vectors, codes):
+            if height(a) + height(b) <= N:
+                assert x + y == code.encode(tuple(map(sum, zip(a, b))))
+
+
+def test_depth_code_past_2_30():
+    # E8 at N = 10: radix 11, and codes of height 10 exceed 2^30
+    vectors = list(depth_vectors(8, 10))
+    code, codes = _check_code(8, 10, vectors)
+    assert max(codes) > 2**30
+    a, b = (4, 0, 1, 0, 0, 2, 0, 0), (0, 0, 0, 1, 0, 1, 0, 1)
+    assert code.encode(a) + code.encode(b) == code.encode((4, 0, 1, 1, 0, 3, 0, 1))

@@ -10,10 +10,10 @@ from hovm.oracle import oracle_module, oracle_weights
 from hovm.resolutions import euler_char, koszul_resolution
 from hovm.rootdata import independent_sets, parse_gcm
 from hovm.verify import random_sl2n_spec
-from hovm.weights import HighestWeight, depth_vectors, eval_at, integrability
+from hovm.weights import DepthCode, HighestWeight, depth_vectors, eval_at, integrability
 from hovm.weightsets import (
     HovmSpec,
-    _minkowski_sum,
+    _code_sum,
     altwts_check,
     inclusion_exclusion_char,
     minkowski_family_check,
@@ -241,19 +241,28 @@ def test_t2_minkowski_small_types():
         assert weight_set_minkowski(spec, 8) == weight_set(spec, 8)
 
 
+def _pair_sums(A, B, n, N):
+    """{a + b} cut to height N as the Minkowski forms sum them: encoded,
+    summed on codes below the limit, decoded once."""
+    code = DepthCode(n, N)
+    sums = _code_sum(map(code.encode, A), [code.encode(b) for b in B], code.limit)
+    return code.decode(sums)
+
+
 def test_minkowski_sum_is_pair_sums():
     rng = random.Random(12)
     for n in (1, 2, 3, 4):
         for N in range(7):
+            # coordinates up to N + 2, so some vectors lie past the cutoff
             A = {tuple(rng.randrange(N + 3) for _ in range(n)) for _ in range(5)}
             B = {tuple(rng.randrange(N + 3) for _ in range(n)) for _ in range(9)}
             want = {
                 tuple(x + y for x, y in zip(a, b))
                 for a in A for b in B if sum(a) + sum(b) <= N
             }
-            assert _minkowski_sum(A, B, N) == want, (A, B, N)
-            assert _minkowski_sum(A, set(), N) == _minkowski_sum(set(), B, N) == set()
-    assert _minkowski_sum({(2,), (0,)}, {(0,), (3,)}, 4) == {(0,), (2,), (3,)}
+            assert _pair_sums(A, B, n, N) == want, (A, B, N)
+            assert _pair_sums(A, set(), n, N) == _pair_sums(set(), B, n, N) == set()
+    assert _pair_sums({(2,), (0,)}, {(0,), (3,)}, 1, 4) == {(0,), (2,), (3,)}
 
 
 def test_minkowski_family():
@@ -431,7 +440,7 @@ def test_refusals_come_before_any_code(monkeypatch):
     def no_codes(*args):
         raise AssertionError("code work started")
 
-    monkeypatch.setattr("hovm.weightsets._places", no_codes)
+    monkeypatch.setattr("hovm.weightsets.DepthCode", no_codes)
     affine = HighestWeight(parse_gcm([[2, -2], [-2, 2]]), [0, 0])
     spec = spec_from_sets(affine, [{1}, {2}])
     for call in (
