@@ -5,7 +5,9 @@ depth-vector -> integer multiplicity with zero values dropped.  The one
 computational engine is a dense table of the Kostant partition function,
 ch M(0), kept per GCM; Verma, parabolic Verma and finite-dimensional
 simple characters, and the Euler characters of the resolutions, are
-signed sums of its shifts (shifted_partition_sum).
+signed sums of its shifts (shifted_partition_sum).  A finite simple
+character sums only to the height of its lowest weight, <nu, 2 rho_J^vee>,
+however tall the cutoff.
 
 The engine adds depth vectors as integers, on the library's code of depth
 vectors (hovm.weights.DepthCode): two vectors whose heights sum to at most
@@ -15,6 +17,9 @@ the shifted sums run on codes and decode once at the end.  Weight sets run
 on the same code (hovm.weightsets) but not on this table's list of codes:
 they are sparse in its simplex, so they decode only the vectors they return.
 """
+
+import functools
+import operator
 
 from . import rootdata
 from .weights import (
@@ -222,14 +227,30 @@ def on_levi(lam, J, N, levi_char):
     return FormalCharacter(N, coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _two_rho_vee(gcm):
+    """2 rho^vee, the sum of the positive coroots, on the simple coroots: the
+    sum of the positive roots of the transposed matrix, whose roots are the
+    coroots of gcm.  <nu, 2 rho^vee> is the height of nu - w_0 nu, since
+    <alpha_i, rho^vee> = 1 and w_0 rho^vee = -rho^vee."""
+    dual = rootdata.GCM(list(zip(*gcm.a)))
+    return tuple(map(sum, zip(*rootdata.positive_roots(dual).positive_roots)))
+
+
 def simple_finite_char(lam, J, N):
     """ch of the maximal integrable module L_J^max(lambda) over the Levi on J.
 
     Requires integer evaluations >= 0 on J; the result is supported on the
     simple roots of J, embedded back into full-rank depth vectors.
+
+    The Levi's Weyl sum runs at min(N, <nu, 2 rho_J^vee>), nu the restriction
+    of lambda: no weight of the finite-dimensional L_J(nu) lies below w_0 nu,
+    and nu - w_0 nu has that height.
     """
 
     def levi_char(sub_lam, N):
-        return parabolic_verma_char(sub_lam, sub_lam.gcm.nodes, N).coeffs
+        gcm = sub_lam.gcm
+        bound = sum(map(operator.mul, _two_rho_vee(gcm), sub_lam.evals))
+        return parabolic_verma_char(sub_lam, gcm.nodes, min(N, bound)).coeffs
 
     return on_levi(lam, J, N, levi_char)

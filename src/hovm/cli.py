@@ -57,7 +57,8 @@ def _lam_of(payload, gcm):
 
 
 def _hole_list(payload, gcm):
-    """'holes' as frozensets; every node a non-bool int in 1..n."""
+    """'holes' as frozensets; every node a non-bool int in 1..n, none twice
+    in one hole."""
     raw = payload.get("holes", [])
     if not isinstance(raw, list) or any(not isinstance(h, list) for h in raw):
         raise ValueError("'holes' must be an array of node arrays")
@@ -67,6 +68,8 @@ def _hole_list(payload, gcm):
                 raise ValueError(
                     "hole node %r is not an integer in 1..%d" % (i, gcm.n)
                 )
+        if len(set(h)) != len(h):
+            raise ValueError("hole %r repeats a node" % (h,))
     return [frozenset(h) for h in raw]
 
 

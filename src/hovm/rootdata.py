@@ -3,7 +3,9 @@
 A GCM answers every structural question about its matrix: Dynkin
 adjacency (a[i][j] != 0), connected components, independent sets, and
 finite type, decided exactly as symmetrizable with a positive definite
-symmetrization (Kac, Infinite-dimensional Lie algebras, Ch. 4).  Nodes are
+symmetrization (Kac, Infinite-dimensional Lie algebras, Ch. 4).  It keeps
+its nodes, a neighbour bit mask per node and whether it is sl2^n from its
+constructor; equality and hashing read the matrix alone.  Nodes are
 1-based throughout.  A root (and more generally any weight displacement)
 is stored as a tuple of nonnegative integers: the coefficients on the
 simple roots.
@@ -18,7 +20,7 @@ import re
 class GCM:
     """A generalized Cartan matrix a[i][j] with 1-based node set I."""
 
-    __slots__ = ("n", "a", "_finite")
+    __slots__ = ("n", "a", "nodes", "is_sl2n", "_masks", "_finite")
 
     def __init__(self, rows):
         a = tuple(tuple(row) for row in rows)
@@ -27,6 +29,7 @@ class GCM:
         n = len(a)
         if any(len(row) != n for row in a):
             raise ValueError("matrix is not square")
+        masks = [0] * n  # bit j of masks[i - 1]: node j is joined to node i
         for i in range(n):
             if a[i][i] != 2:
                 raise ValueError("diagonal entry != 2 at node %d" % (i + 1))
@@ -36,8 +39,14 @@ class GCM:
                         raise ValueError("positive off-diagonal entry")
                     if (a[i][j] == 0) != (a[j][i] == 0):
                         raise ValueError("asymmetric zero pattern")
+                    if a[i][j]:
+                        masks[i] |= 2 << j
         self.n = n
         self.a = a
+        self.nodes = tuple(range(1, n + 1))
+        self._masks = masks
+        # no two nodes are joined: the algebra is sl2 x ... x sl2
+        self.is_sl2n = not any(masks)
         self._finite = None
 
     def __eq__(self, other):
@@ -48,10 +57,6 @@ class GCM:
 
     def __repr__(self):
         return "GCM(%r)" % (self.a,)
-
-    @property
-    def nodes(self):
-        return tuple(range(1, self.n + 1))
 
     @property
     def finite_type(self):
@@ -65,19 +70,23 @@ class GCM:
             self._finite = symmetrizer(self) is not None and _minors_positive(self.a)
         return self._finite
 
-    @property
-    def is_sl2n(self):
-        """No two nodes are joined: the algebra is sl2 x ... x sl2."""
-        return self.is_independent(self.nodes)
-
     def adjacent(self, i, j):
         return i != j and self.a[i - 1][j - 1] != 0
 
     def neighbours(self, i):
         return {j for j in self.nodes if self.adjacent(i, j)}
 
+    def is_isolated(self, i):
+        """Node i is joined to no other node."""
+        return not self._masks[i - 1]
+
     def is_independent(self, subset):
-        return not any(self.adjacent(i, j) for i in subset for j in subset)
+        """No two nodes of subset are joined."""
+        bits = 0
+        for i in subset:
+            bits |= 1 << i
+        masks = self._masks
+        return not any(masks[i - 1] & bits for i in subset)
 
     def components(self, support=None):
         """Connected components of the induced subgraph on `support`."""

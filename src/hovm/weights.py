@@ -2,7 +2,8 @@
 
 A highest weight lambda is stored as the vector of pairings
 <lambda, alpha_i^vee>; each entry is either an integer or the generic
-non-integral marker NONINT.  A weight mu = lambda - sum_i c_i alpha_i
+non-integral marker NONINT.  It keeps J_lambda, the nodes where the
+pairing is an integer >= 0.  A weight mu = lambda - sum_i c_i alpha_i
 below lambda is encoded by its depth vector c (nonnegative integers).
 
 Below a height cutoff N the library codes a depth vector as one integer,
@@ -65,7 +66,9 @@ def _evaluation(e):
 
 
 class HighestWeight:
-    __slots__ = ("gcm", "evals")
+    """lambda on gcm by its evaluations; it keeps J_lambda (integrability)."""
+
+    __slots__ = ("gcm", "evals", "integrable")
 
     def __init__(self, gcm, evals):
         if isinstance(evals, str):
@@ -75,6 +78,9 @@ class HighestWeight:
             raise ValueError("evaluation vector has wrong length")
         self.gcm = gcm
         self.evals = evals
+        self.integrable = frozenset(
+            i for i, e in enumerate(evals, 1) if e is not NONINT and e >= 0
+        )
 
     def __eq__(self, other):
         return (
@@ -91,10 +97,8 @@ class HighestWeight:
 
 
 def integrability(lam):
-    """J_lambda = {i : <lambda, alpha_i^vee> in Z>=0}."""
-    return frozenset(
-        i for i in lam.gcm.nodes if is_nonneg_int(lam.evals[i - 1])
-    )
+    """J_lambda = {i : <lambda, alpha_i^vee> in Z>=0}, kept on lambda."""
+    return lam.integrable
 
 
 def eval_at(lam, c, j):
@@ -134,11 +138,20 @@ def lambda_H(lam, H):
 def depth_vectors(n, max_height):
     """All c in Z>=0^n with sum(c) <= max_height, in lexicographic order.
 
-    The difference sequences of the nondecreasing n-tuples in
-    0..max_height, which combinations_with_replacement yields in
-    lexicographic order; taking differences keeps that order."""
-    for s in itertools.combinations_with_replacement(range(max_height + 1), n):
-        yield tuple(map(operator.sub, s, (0,) + s[:-1]))
+    The first n - 1 coordinates are built as prefixes in lex order, each
+    with the height it leaves; a prefix is then extended by every last
+    coordinate that fits, so no vector is built and thrown away."""
+    if not n:
+        yield ()
+        return
+    prefixes = [((), max_height)]
+    for _ in range(n - 1):
+        prefixes = [
+            (p + (v,), room - v) for p, room in prefixes for v in range(room + 1)
+        ]
+    tails = [(v,) for v in range(max_height + 1)]
+    for p, room in prefixes:
+        yield from map(p.__add__, tails[: room + 1])
 
 
 def embed(n, nodes, x):

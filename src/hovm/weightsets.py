@@ -95,7 +95,8 @@ def _levi_weights(steps, nu, room, top):
     """The codes of the weights of L_J(nu) with height <= room, as a dict to
     their J-evaluations; nu is given by its own.  steps[p][t - 1] is the code
     of t alpha_j and what it takes off the J-evaluations, j the p-th node of
-    J, for t = 1..room at least; top is the place of the height digit.
+    J, for t from 1 up to at least the longest alpha_j-string within room;
+    top is the place of the height digit.
 
     Downward closure under alpha_j-strings: from a weight with evaluation
     e > 0 at j, add t alpha_j below it for t = 1..min(e, room - its height).
@@ -224,9 +225,12 @@ def _pvm_codes(lam, J, N):
     for k in K:
         if k not in adjacent:
             free = sorted(_code_sum(range(0, limit, places[k - 1]), free, limit))
+    # t = 1..N, but an isolated node j keeps nu_j = lambda_j in every slice,
+    # so no string at j is longer than lambda_j
+    longest = [min(N, lam.evals[j - 1]) if lam.gcm.is_isolated(j) else N for j in J]
     steps = [
-        [(t * places[j - 1], [t * a[k - 1][j - 1] for k in J]) for t in range(1, N + 1)]
-        for j in J
+        [(t * places[j - 1], [t * a[k - 1][j - 1] for k in J]) for t in range(1, m + 1)]
+        for j, m in zip(J, longest)
     ]
 
     def slice_codes(nu, room):

@@ -9,6 +9,7 @@ import pytest
 from hovm import characters
 from hovm.characters import (
     FormalCharacter,
+    _two_rho_vee,
     dot_orbit_terms,
     kostant_partition,
     parabolic_verma_char,
@@ -266,6 +267,45 @@ def test_freudenthal_agrees_with_weyl_e6():
     lam = HighestWeight(parse_gcm("E6"), [0, 1, 0, 0, 1, 0])
     J = set(lam.gcm.nodes)
     assert freudenthal_char(lam, J, 8) == simple_finite_char(lam, J, 8)
+
+
+# every nu in 0..2 per node with <nu, 2 rho^vee> <= 14, where the uncut
+# Weyl sum and Freudenthal stay fast (D4 alone reaches 56)
+_BOUND_CASES = [
+    (name, nu)
+    for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4")
+    for nu in itertools.product(range(3), repeat=parse_gcm(name).n)
+    if sum(map(operator.mul, _two_rho_vee(parse_gcm(name)), nu)) <= 14
+]
+
+
+def test_finite_char_height_bound_is_exact():
+    # simple_finite_char runs the Weyl sum only to <nu, 2 rho^vee>: past it
+    # the uncut sum and Freudenthal find nothing more, and the lowest weight
+    # w_0 nu lies exactly at it
+    for name, nu in _BOUND_CASES:
+        g = parse_gcm(name)
+        lam = HighestWeight(g, nu)
+        bound = sum(map(operator.mul, _two_rho_vee(g), nu))
+        ch = simple_finite_char(lam, g.nodes, bound + 2)
+        assert ch == parabolic_verma_char(lam, g.nodes, bound + 2), (name, nu)
+        assert ch == freudenthal_char(lam, g.nodes, bound + 2), (name, nu)
+        assert max(map(height, ch.coeffs)) == bound, (name, nu)
+    assert len(_BOUND_CASES) == 73
+
+
+def test_two_rho_vee():
+    # the sum of the positive coroots, read on the simple coroots: 2 rho^vee
+    # of B3 is 2 rho of C3 and the other way round, and a simply laced type
+    # keeps 2 rho
+    assert _two_rho_vee(parse_gcm("A3")) == (3, 4, 3)
+    assert _two_rho_vee(parse_gcm("B3")) == (5, 8, 9)
+    assert _two_rho_vee(parse_gcm("C3")) == (6, 10, 6)
+    assert _two_rho_vee(parse_gcm("G2")) == (10, 6)
+    for name in ("A4", "D4", "E6"):
+        g = parse_gcm(name)
+        two_rho = tuple(map(sum, zip(*positive_roots(g).positive_roots)))
+        assert _two_rho_vee(g) == two_rho
 
 
 def _dim(name, evals):

@@ -327,6 +327,7 @@ V00 = {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]}
         (["weights"], dict(V00, holes=[[True, 2]])),
         (["weights"], dict(V00, holes=[[1.0, 2]])),
         (["weights"], dict(V00, holes=[[[1], 2]])),
+        (["weights"], dict(V00, holes=[[1, 1]])),  # not read as the hole [1]
         (["approx", "--k", "-1", "--side", "lower"], V00),  # read as the zero module
         (["approx", "--k", "-1", "--side", "upper"], V00),  # read as the Verma module
         (["order-product"], {"algebra": "A4", "holes": [[9], [1]]}),

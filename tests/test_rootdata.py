@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -230,6 +231,34 @@ def test_empty_restriction_is_finite():
     assert g.n == 0 and g.finite_type
     rs = positive_roots(g)
     assert rs.positive_roots == () and rs.coxeter_numbers == {}
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "E6"])
+def test_is_independent_matches_pairwise(name):
+    g = parse_gcm(name)
+    for size in range(g.n + 1):
+        for subset in itertools.combinations(g.nodes, size):
+            pairwise = not any(g.adjacent(i, j) for i in subset for j in subset)
+            assert g.is_independent(subset) == pairwise, subset
+            assert g.is_independent(frozenset(subset)) == pairwise, subset
+
+
+def test_is_sl2n():
+    for n in range(1, 6):
+        assert parse_gcm("A1^%d" % n).is_sl2n
+    assert restrict(parse_gcm("A3"), []).is_sl2n
+    assert restrict(parse_gcm("A3"), [1, 3]).is_sl2n
+    assert not parse_gcm("A1xA2").is_sl2n
+    assert not parse_gcm("B2").is_sl2n
+
+
+def test_structure_kept_outside_equality_and_hash():
+    rows = [[2, -1, 0], [-1, 2, 0], [0, 0, 2]]
+    g = GCM(rows)
+    assert g.nodes == (1, 2, 3)
+    assert g == parse_gcm("A2xA1") and hash(g) == hash(tuple(map(tuple, rows)))
+    empty = restrict(g, [])
+    assert empty == GCM([]) and hash(empty) == hash(()) and empty.nodes == ()
 
 
 def test_symmetrizer():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 
 import pytest
 
@@ -41,6 +43,10 @@ def test_integrability():
     assert integrability(HighestWeight(A2, [1, 0])) == {1, 2}
     assert integrability(HighestWeight(A2, [-1, 2])) == {2}
     assert integrability(HighestWeight(A2, ["x", 0])) == {2}
+    # kept on lambda, and outside its equality and hash
+    lam = HighestWeight(A2, [3, -2])
+    assert lam.integrable == {1}
+    assert lam == HighestWeight(A2, [3, -2]) and hash(lam) == hash((A2, (3, -2)))
 
 
 def test_eval_at():
@@ -103,12 +109,22 @@ def _depth_vectors_rec(n, N):
             yield (v,) + rest
 
 
+def _depth_vectors_by_combinations(n, N):
+    """The difference sequences of the nondecreasing n-tuples in 0..N, which
+    combinations_with_replacement yields in lex order."""
+    for s in itertools.combinations_with_replacement(range(N + 1), n):
+        yield tuple(map(operator.sub, s, (0,) + s[:-1]))
+
+
 def test_depth_vectors_match_recursive():
+    # against the recursion and the combinations_with_replacement formula
     for n in range(6):
-        for N in range(-1, 7):
-            assert list(depth_vectors(n, N)) == list(_depth_vectors_rec(n, N)), (n, N)
-    assert list(depth_vectors(0, -1)) == [()]
-    assert list(depth_vectors(3, -1)) == []
+        for N in range(-2, 8):
+            want = list(_depth_vectors_rec(n, N))
+            assert list(_depth_vectors_by_combinations(n, N)) == want, (n, N)
+            assert list(depth_vectors(n, N)) == want, (n, N)
+    assert list(depth_vectors(0, -1)) == list(depth_vectors(0, -2)) == [()]
+    assert list(depth_vectors(3, -1)) == list(depth_vectors(1, -2)) == []
 
 
 def test_depth_vectors():
