@@ -12,13 +12,16 @@ however tall the cutoff.
 The engine adds depth vectors as integers, on the library's code of depth
 vectors (hovm.weights.DepthCode): two vectors whose heights sum to at most
 the cutoff add without a carry, so vector addition is integer addition.
-The table keeps the codes of its keys, in order of height, and the map back;
-the shifted sums run on codes and decode once at the end.  Weight sets run
-on the same code (hovm.weightsets) but not on this table's list of codes:
-they are sparse in its simplex, so they decode only the vectors they return.
+The table keeps the codes of its keys in order of height, its values and
+their negatives, and fills the shared code -> vector map of its DepthCode.
+A shifted sum is assembled on codes, dropped of zeros and checked against
+the cutoff on codes, and decoded once, by lookup.  Weight sets run on the
+same code (hovm.weightsets) but not on this table's list of codes: they are
+sparse in its simplex, so they decode only the vectors they return.
 """
 
 import functools
+import itertools
 import operator
 
 from . import rootdata
@@ -50,6 +53,14 @@ class FormalCharacter:
             and self.cutoff == other.cutoff
             and self.coeffs == other.coeffs
         )
+
+    @classmethod
+    def _checked(cls, cutoff, coeffs):
+        """The character of nonzero coefficients at heights <= cutoff, both
+        already checked by the caller; the map is kept, not copied."""
+        char = object.__new__(cls)
+        char.cutoff, char.coeffs = cutoff, coeffs
+        return char
 
     def coeff(self, c):
         return self.coeffs.get(tuple(c), 0)
@@ -86,12 +97,15 @@ class FormalCharacter:
 
 class _Table:
     """ch M(0) of one GCM as a FormalCharacter, with the code of its cutoff,
-    the codes of its keys in their order (height, then lex) and the map back."""
+    the codes of its keys in their order (height, then lex), and its values
+    in that order with their negatives."""
 
-    __slots__ = ("char", "code", "codes", "decode")
+    __slots__ = ("char", "code", "codes", "values", "negated")
 
-    def __init__(self, char, code, codes, decode):
-        self.char, self.code, self.codes, self.decode = char, code, codes, decode
+    def __init__(self, char, code, codes):
+        self.char, self.code, self.codes = char, code, codes
+        self.values = list(char.coeffs.values())
+        self.negated = [-m for m in self.values]
 
 
 def _table(gcm, N):
@@ -112,7 +126,8 @@ def _table(gcm, N):
         for i in code.cut(codes, code.limit - step):
             counts[i + step] += counts[i]
     char = FormalCharacter(N, dict(zip(vectors, counts.values())))
-    table = _tables[gcm] = _Table(char, code, codes, dict(zip(codes, vectors)))
+    code.remember(codes, vectors)
+    table = _tables[gcm] = _Table(char, code, codes)
     return table
 
 
@@ -141,7 +156,11 @@ def shifted_partition_sum(gcm, terms, N):
 
     Every character here is such a sum: d runs over dot-orbit or
     resolution weights, which are depth vectors (d >= 0) below lambda.
-    Summed on codes into an int-keyed map, decoded once.
+
+    Assembled on codes: the shallowest shift seeds the int-keyed map, each
+    deeper one adds the table's prefix of height <= N - |d| shifted by the
+    code of d (a +-1 reads the kept values or their negatives), and the
+    zeros are dropped and the height checked on the codes before one decode.
     """
     numerator = {}
     for sign, d in terms:
@@ -153,20 +172,39 @@ def shifted_partition_sum(gcm, terms, N):
         rootdata.positive_roots(gcm)
         return FormalCharacter(N, {})
     table = _table(gcm, N)
-    code, codes, values = table.code, table.codes, table.char.coeffs.values()
-    coeffs = {}
-    for d, sign in numerator.items():
-        if not sign:
-            continue
-        shift = code.encode(d)
+    code, codes = table.code, table.codes
+    # code order is height order, so the shallowest shift comes first
+    shifts = sorted((code.encode(d), sign) for d, sign in numerator.items() if sign)
+    coeffs = None
+    for shift, sign in shifts:
         # every depth vector has a partition, so the table's values line up
         # with its codes, and those of height <= N - |d| come first
-        prefix = zip(code.cut(codes, (N - height(d) + 1) * code.top), values)
-        for c, m in prefix:
-            c += shift
-            coeffs[c] = coeffs.get(c, 0) + sign * m
-    decode = table.decode
-    return FormalCharacter(N, {decode[c]: m for c, m in coeffs.items() if m})
+        keys = code.cut(codes, (N - shift // code.top + 1) * code.top)
+        if shift:
+            keys = map(shift.__add__, keys)
+        if sign == 1:
+            values = table.values
+        elif sign == -1:
+            values = table.negated
+        else:
+            values = map(sign.__mul__, table.values)
+        if coeffs is None:
+            coeffs = dict(zip(keys, values))
+            continue
+        get = coeffs.get
+        for c, m in zip(keys, values):
+            coeffs[c] = get(c, 0) + m
+    return _char_of_codes(code, N, coeffs)
+
+
+def _char_of_codes(code, N, coeffs):
+    """The FormalCharacter at cutoff N of a code -> multiplicity map: zeros
+    dropped, and the height of every code checked against N, as the
+    constructor checks depth vectors."""
+    codes = list(itertools.compress(coeffs, coeffs.values()))
+    assert max(codes, default=0) < (N + 1) * code.top
+    values = filter(None, coeffs.values())
+    return FormalCharacter._checked(N, dict(zip(code.tuples(codes), values)))
 
 
 def dot_orbit_terms(lam, J, N):

@@ -23,7 +23,9 @@ order.
 
 Over any finite-type Levi: the character of a finite-dimensional simple
 module by Freudenthal's multiplicity recursion (freudenthal_char), a check
-on the alternating Weyl sum of characters.simple_finite_char.
+on the alternating Weyl sum of characters.simple_finite_char.  It runs
+height layer by layer and stops at the first layer with no weight, so it
+needs no bound from the character engine.
 """
 
 import itertools
@@ -32,7 +34,7 @@ import operator
 from . import rootdata
 from .characters import FormalCharacter, on_levi
 from .holes import HoleSet
-from .weights import NONINT, HighestWeight, depth_vectors, eval_at, integrability
+from .weights import NONINT, HighestWeight, eval_at, integrability
 from .weights import is_nonneg_int, lambda_H
 
 
@@ -218,30 +220,42 @@ def _freudenthal(sub_lam, N):
     def mu_eval(c2, i):
         return sub_lam.evals[i] - sum(sub.a[i][k] * c2[k] for k in range(n))
 
-    vectors = sorted(depth_vectors(n, N), key=sum)
-    mults = {vectors[0]: 1}
-    for c in vectors[1:]:
-        acc = 0
-        for r in roots:
-            t = 1
-            while True:
-                c2 = tuple(x - t * y for x, y in zip(c, r))
-                if any(x < 0 for x in c2):
-                    break
-                m = mults.get(c2, 0)
-                if m:
-                    # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
-                    val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
-                    acc += 2 * m * val
-                t += 1
-        # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c), which is
-        # sum_i c_i d_i (<lambda+rho, alpha_i^vee> + <mu+rho, alpha_i^vee>)
-        denom = sum(
-            c[i] * d[i] * (sub_lam.evals[i] + 2 + mu_eval(c, i)) for i in range(n)
-        )
-        if denom == 0 or acc == 0:
-            continue
-        val, rest = divmod(acc, denom)
-        assert rest == 0 and val >= 0
-        mults[c] = val
+    # layer by layer in (height, lex) order; a layer is the vectors one
+    # simple root below a weight of the last, since every weight other than
+    # lambda has a weight one simple root above it, so the first layer with
+    # no weight ends the recursion
+    mults = {(0,) * n: 1}
+    layer = [(0,) * n]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for _ in range(N):
+        layer = sorted({tuple(map(operator.add, w, u)) for w in layer for u in units})
+        weights = []
+        for c in layer:
+            acc = 0
+            for r in roots:
+                t = 1
+                while True:
+                    c2 = tuple(x - t * y for x, y in zip(c, r))
+                    if any(x < 0 for x in c2):
+                        break
+                    m = mults.get(c2, 0)
+                    if m:
+                        # (mu + t alpha, alpha) for mu + t alpha = lambda - c2
+                        val = sum(r[i] * d[i] * mu_eval(c2, i) for i in range(n))
+                        acc += 2 * m * val
+                    t += 1
+            # |lambda+rho|^2 - |mu+rho|^2 = (2(lambda+rho) - c, c), which is
+            # sum_i c_i d_i (<lambda+rho, alpha_i^vee> + <mu+rho, alpha_i^vee>)
+            denom = sum(
+                c[i] * d[i] * (sub_lam.evals[i] + 2 + mu_eval(c, i)) for i in range(n)
+            )
+            if denom == 0 or acc == 0:
+                continue
+            val, rest = divmod(acc, denom)
+            assert rest == 0 and val >= 0
+            mults[c] = val
+            weights.append(c)
+        if not weights:
+            break
+        layer = weights
     return mults

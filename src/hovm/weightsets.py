@@ -12,8 +12,9 @@ N+1 of c below a top digit that holds height(c).  A code sum of heights
 summing to at most N is a vector sum, it is of height <= N exactly when it
 is below the code's limit, and sorted codes run in order of height.
 Unions, comparisons and Minkowski sums run on codes; each public function
-decodes once, at its return, half by half, so the decoding stays
-proportional to its output.  The character engine's list of every code of
+decodes once, at its return, through the shared code -> vector map of its
+DepthCode: by lookup, misses by halves, so the decoding stays proportional
+to its output.  The character engine's list of every code of
 height <= N is not used: weight sets are sparse in that simplex.
 """
 
@@ -122,8 +123,8 @@ def _levi_weights(steps, nu, room, top):
 
 
 def _code_sum(A, B, limit):
-    """{a + b} over the codes a in A and b in B whose sum is below limit."""
-    B = sorted(B)
+    """{a + b} over the codes a in A and b in the sorted list B whose sum is
+    below limit."""
     sums = set()
     for a in A:
         sums.update(map(a.__add__, DepthCode.cut(B, limit - a)))
@@ -277,7 +278,8 @@ def weight_set_minkowski(spec, N):
     frame = HovmSpec(zero, HoleSet(frozenset(spec.gcm.nodes), spec.holes.min_holes))
     if zero == lam:  # the frame's wt M(0, J) are the spec's own
         frame._pvm_codes = spec._pvm_codes
-    return code.decode(_code_sum(finite_part, _weight_codes(frame, N), code.limit))
+    frame_codes = sorted(_weight_codes(frame, N))
+    return code.decode(_code_sum(finite_part, frame_codes, code.limit))
 
 
 def _root_monoid(generators, limit):
@@ -305,7 +307,7 @@ def minkowski_family_check(lam, J, J2, N):
     ]
     finite_part = _finite_codes(lam, J2, N, code)
     limit = code.limit
-    return lhs == _code_sum(finite_part, _root_monoid(outside, limit), limit)
+    return lhs == _code_sum(finite_part, sorted(_root_monoid(outside, limit)), limit)
 
 
 def psi_k(spec, k, N):

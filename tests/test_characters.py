@@ -151,6 +151,48 @@ def test_code_engine_matches_tuple_engine(name):
             assert shifted_partition_sum(g, terms, N) == FormalCharacter(N, want)
 
 
+@pytest.mark.parametrize("name", ["A1^3", "B2", "A3", "G2"])
+def test_sums_on_codes_match_tuples(name):
+    # random signed terms, with repeated shifts, numerators that cancel, signs
+    # of +-2 and N = 0, on a table built taller first and then queried lower
+    g = parse_gcm(name)
+    rng = random.Random("codes " + name)
+    characters._tables.pop(g, None)
+    table = _tuple_table(g, 12)
+    partition_table(g, 12)
+    for N in [5, 0, 12, 3, 8, 1]:
+        prefix = dict(itertools.islice(table.items(), math.comb(N + g.n, g.n)))
+        for _ in range(8):
+            pool = [_random_depth(rng, g.n, N + 2) for _ in range(4)]
+            terms = [
+                (rng.choice([-2, -1, 1, 2]), rng.choice(pool))
+                for _ in range(rng.randrange(1, 9))
+            ]
+            d = rng.choice(pool)
+            terms += [(2, d), (-1, d), (-1, d)]  # a numerator that cancels
+            rng.shuffle(terms)
+            got = shifted_partition_sum(g, terms, N)
+            assert got == FormalCharacter(N, _tuple_shifted_sum(prefix, g.n, terms, N))
+            assert characters._tables[g].char.cutoff == 12
+
+
+def test_check_on_codes_holds_at_the_limit():
+    # codes of height N + 1, all at or past (N + 1) top, are refused as the
+    # constructor refuses their vectors; a zero there is dropped first
+    table = characters._table(B2, 9)
+    code, N = table.code, 4
+    limit = (N + 1) * code.top
+    last, over = code.encode((N, 0)), code.encode((0, N + 1))
+    assert last < limit <= over
+    ch = characters._char_of_codes(code, N, {last: 3, over: 0, 0: 0})
+    assert ch == FormalCharacter(N, {(N, 0): 3})
+    for bad in (limit, over):
+        with pytest.raises(AssertionError):
+            characters._char_of_codes(code, N, {last: 3, bad: 1})
+    with pytest.raises(AssertionError):
+        FormalCharacter(N, {(N, 0): 3, (0, N + 1): 1})
+
+
 def test_shifted_partition_sum():
     zero = (0, 0)
     assert shifted_partition_sum(B2, [], 6) == FormalCharacter(6, {})
@@ -267,6 +309,27 @@ def test_freudenthal_agrees_with_weyl_e6():
     lam = HighestWeight(parse_gcm("E6"), [0, 1, 0, 0, 1, 0])
     J = set(lam.gcm.nodes)
     assert freudenthal_char(lam, J, 8) == simple_finite_char(lam, J, 8)
+
+
+@pytest.mark.parametrize(
+    "name, nu, N",
+    [
+        ("D4", [1, 0, 0, 0], 20),  # 8 weights, the deepest at height 6
+        ("B3", [0, 1, 1], 24),
+        ("G2", [1, 1], 30),
+        ("A3", [2, 0, 1], 20),
+        ("C3", [1, 0, 1], 22),
+    ],
+)
+def test_freudenthal_far_past_the_lowest_weight(name, nu, N):
+    # the recursion stops at the first empty height layer, so a cutoff far
+    # past w_0 nu costs nothing more
+    g = parse_gcm(name)
+    lam = HighestWeight(g, nu)
+    ch = freudenthal_char(lam, g.nodes, N)
+    assert ch == simple_finite_char(lam, g.nodes, N)
+    bound = sum(map(operator.mul, _two_rho_vee(g), nu))
+    assert max(map(height, ch.coeffs)) == bound < N
 
 
 # every nu in 0..2 per node with <nu, 2 rho^vee> <= 14, where the uncut

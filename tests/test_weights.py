@@ -1,9 +1,11 @@
 import itertools
 import math
 import operator
+import random
 
 import pytest
 
+from hovm import weights
 from hovm.rootdata import parse_gcm
 from hovm.weights import (
     DepthCode,
@@ -172,3 +174,83 @@ def test_depth_code_past_2_30():
     assert max(codes) > 2**30
     a, b = (4, 0, 1, 0, 0, 2, 0, 0), (0, 0, 0, 1, 0, 1, 0, 1)
     assert code.encode(a) + code.encode(b) == code.encode((4, 0, 1, 1, 0, 3, 0, 1))
+
+
+def _digits(x, n, radix):
+    """The depth vector of a code by plain division, an independent decode."""
+    out = []
+    for _ in range(n):
+        x, d = divmod(x, radix)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("n, N", [(1, 0), (1, 7), (3, 0), (2, 5), (4, 4), (8, 3)])
+def test_warm_decode_equals_cold(n, N):
+    # radix 1 (N = 0), rank 1, and E8's rank at N = 3, over codes of every
+    # height; cold decodes by halves, warm by lookup, and a part-warm map
+    # decodes only its misses
+    code = DepthCode(n, N)
+    vectors = list(depth_vectors(n, N))
+    codes = [code.encode(c) for c in vectors]
+    assert [_digits(x % code.top, n, code.radix) for x in codes] == vectors
+    code.vectors = {}
+    assert code.tuples(codes) == vectors  # cold
+    assert len(code.vectors) == len(codes)
+    assert code.tuples(codes) == vectors  # warm
+    assert code.decode(codes) == set(vectors)
+    for h in range(N + 1):
+        at_h = [x for x, c in zip(codes, vectors) if height(c) == h]
+        code.vectors = {}
+        assert code.decode(at_h) == {c for c in vectors if height(c) == h}
+        assert code.tuples(codes[::-1]) == vectors[::-1]  # part warm
+    code.vectors = {}
+    assert code.decode([]) == set() and code.tuples([]) == []
+    # the first decode at a code keeps nothing, the next ones keep
+    code.vectors, code.warm = {}, False
+    assert code.decode(codes) == set(vectors) and code.vectors == {}
+    assert code.decode(codes) == set(vectors) and len(code.vectors) == len(codes)
+    assert code.decode(codes) == set(vectors)
+
+
+def test_depth_codes_are_shared_in_a_bounded_lru():
+    assert weights._CODES_KEPT == 8
+    code = DepthCode(2, 3)
+    assert DepthCode(2, 3) is code
+    assert DepthCode(3, 2) is not code
+    # each use moves a code to the back; past the bound the oldest goes
+    for N in range(100, 100 + weights._CODES_KEPT - 1):
+        DepthCode(1, N)
+        assert DepthCode(2, 3) is code
+        assert len(weights._codes) <= weights._CODES_KEPT
+    for N in range(200, 200 + weights._CODES_KEPT):
+        DepthCode(1, N)
+        assert len(weights._codes) <= weights._CODES_KEPT
+    assert (2, 3) not in weights._codes
+    fresh = DepthCode(2, 3)
+    assert fresh is not code and fresh.places == code.places
+    assert fresh.decode([code.encode((1, 2))]) == {(1, 2)}
+
+
+def test_decode_map_stays_under_its_cap(monkeypatch):
+    assert weights._DECODE_CAP == 2**15
+    cap = 40
+    monkeypatch.setattr(weights, "_DECODE_CAP", cap)
+    code = DepthCode(3, 9)
+    code.vectors = {}
+    vectors = list(depth_vectors(3, 9))  # 220 of them
+    codes = [code.encode(c) for c in vectors]
+    want = dict(zip(codes, vectors))
+    rng = random.Random(5)
+    for size in [5, 30, 12, 39, 40, 41, 220, 3, 25, 25, 60, 1]:
+        part = rng.sample(codes, size)
+        assert code.tuples(part) == [want[x] for x in part]
+        assert code.decode(part) == {want[x] for x in part}
+        assert len(code.vectors) <= cap
+        assert all(want[x] == c for x, c in code.vectors.items())
+    code.remember(codes, vectors)  # more than the cap: the first ones
+    assert code.vectors == dict(zip(codes[:cap], vectors[:cap]))
+    code.remember(codes[-3:], vectors[-3:])  # would pass it: emptied first
+    assert code.vectors == dict(zip(codes[-3:], vectors[-3:]))
+    assert code.tuples(codes) == vectors  # past the cap alone: not kept
+    assert code.vectors == {}

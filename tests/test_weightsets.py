@@ -245,7 +245,7 @@ def _pair_sums(A, B, n, N):
     """{a + b} cut to height N as the Minkowski forms sum them: encoded,
     summed on codes below the limit, decoded once."""
     code = DepthCode(n, N)
-    sums = _code_sum(map(code.encode, A), [code.encode(b) for b in B], code.limit)
+    sums = _code_sum(map(code.encode, A), sorted(map(code.encode, B)), code.limit)
     return code.decode(sums)
 
 
