@@ -16,9 +16,9 @@ sum; and height(c) <= h exactly when code(c) < (h+1) (N+1)^n.
 DepthCode(n, N) is one shared object per (n, N), the last _CODES_KEPT of
 them kept.  Each keeps a code -> vector map of at most _DECODE_CAP
 vectors for every caller at (n, N): a decode is by lookup, misses by
-halves, and a map that would pass the cap is emptied and refilled.  The
-first decode at a code keeps nothing, so a process that decodes there once
-pays only for decoding; the partition tables fill the map themselves.
+halves.  The misses are kept while the map stays under the cap; a decode
+that would pass it is answered from the map and its misses and leaves the
+map as it was.  The partition tables fill the map themselves.
 """
 
 import bisect
@@ -177,8 +177,7 @@ def height(c):
 # _CODES_KEPT of them the oldest is dropped.
 _CODES_KEPT = 8
 _codes = {}
-# The most depth vectors one DepthCode keeps decoded; a map that would grow
-# past it is emptied and refilled.
+# The most depth vectors one DepthCode keeps decoded.
 _DECODE_CAP = 2**15
 
 
@@ -188,7 +187,7 @@ class DepthCode:
     height digit, and limit = (N+1) top, the least code of height N + 1.
     DepthCode(n, N) is shared (see above); vectors is its code -> vector map."""
 
-    __slots__ = ("n", "radix", "places", "top", "limit", "vectors", "warm")
+    __slots__ = ("n", "radix", "places", "top", "limit", "vectors")
 
     def __new__(cls, n, N):
         code = _codes.pop((n, N), None)
@@ -198,7 +197,7 @@ class DepthCode:
             top = radix**n
             code.n, code.radix, code.top, code.limit = n, radix, top, radix * top
             code.places = [radix ** (n - i) + top for i in range(1, n + 1)]
-            code.vectors, code.warm = {}, False
+            code.vectors = {}
             if len(_codes) >= _CODES_KEPT:
                 del _codes[next(iter(_codes))]
         _codes[n, N] = code
@@ -209,63 +208,49 @@ class DepthCode:
 
     def decode(self, codes):
         """The set of depth vectors of a collection of codes."""
-        known = self.vectors
-        try:
-            return set(map(known.__getitem__, codes))
-        except KeyError:
-            if not self.warm:  # the first decode keeps nothing
-                self.warm = True
-                (high, low, split), top = self._halves(), self.top
-                return {high[c % top // split] + low[c % split] for c in codes}
-            fresh = self._learn(codes)
-        return set(map(known.__getitem__, codes)) if fresh is None else set(fresh.values())
+        return set(self.tuples(codes))
 
     def tuples(self, codes):
-        """The depth vectors of a collection of codes, as a list in their order."""
+        """The depth vectors of a collection of codes, as a list in their order.
+
+        Codes the kept map misses are decoded by halves; they are kept if
+        the map stays under the cap, else the call is answered from the map
+        and its misses and the map is left as it was."""
         known = self.vectors
         try:
             return list(map(known.__getitem__, codes))
         except KeyError:
-            fresh = self._learn(codes)
-        return list(map((known if fresh is None else fresh).__getitem__, codes))
+            pass
+        missing = [c for c in codes if c not in known] if known else codes
+        fresh = self._by_halves(missing)
+        kept = len(known) + len(fresh) <= _DECODE_CAP
+        if not known:  # missing is codes
+            if kept:
+                self.vectors = dict(zip(missing, fresh))
+            return fresh
+        fresh = dict(zip(missing, fresh))
+        if kept:
+            known.update(fresh)
+            return list(map(known.__getitem__, codes))
+        return list(map(fresh.get, codes, map(known.get, codes)))
 
     def remember(self, codes, vectors):
         """Keep these codes of these depth vectors, at most _DECODE_CAP of
-        them, the first ones given."""
+        them, the first ones given; a kept map that would pass the cap is
+        replaced."""
         if len(self.vectors) + len(codes) > _DECODE_CAP:
             self.vectors = {}
         self.vectors.update(itertools.islice(zip(codes, vectors), _DECODE_CAP))
 
-    def _learn(self, codes):
-        """Decode the codes the kept map misses and keep them; a kept map
-        that would pass the cap is dropped first.  Returns None if the kept
-        map now holds every code given, else the map of exactly these codes:
-        the new kept map, or, if the codes alone pass the cap, one not kept.
-
-        A miss splits into its first n - n // 2 digits and the rest (see
-        _halves)."""
-        known = self.vectors
-        missing = [c for c in codes if c not in known] if known else codes
-        if len(known) + len(missing) > _DECODE_CAP:
-            known = self.vectors = {}
-            missing = codes
-        (high, low, split), top = self._halves(), self.top
-        fresh = {c: high[c % top // split] + low[c % split] for c in missing}
-        if known:
-            known.update(fresh)
-            return None
-        if len(fresh) <= _DECODE_CAP:
-            self.vectors = fresh
-        return fresh
-
-    def _halves(self):
-        """Digit maps for the first n - n // 2 digits and the rest of a code,
-        and the place that splits them: each distinct half is decoded once
-        per call, so the work grows with the codes given, not with the
-        simplex of height N."""
-        radix, low_width = self.radix, self.n // 2
+    def _by_halves(self, codes):
+        """The depth vectors of the codes, as a list in their order.  A code
+        splits into its first n - n // 2 digits and the rest, and each
+        distinct half is decoded once per call, so the work grows with the
+        codes given, not with the simplex of height N."""
+        radix, low_width, top = self.radix, self.n // 2, self.top
         high, low = _Digits(radix, self.n - low_width), _Digits(radix, low_width)
-        return high, low, radix**low_width
+        split = radix**low_width
+        return [high[c % top // split] + low[c % split] for c in codes]
 
     @staticmethod
     def cut(codes, bound):

@@ -206,9 +206,7 @@ def test_warm_decode_equals_cold(n, N):
         assert code.tuples(codes[::-1]) == vectors[::-1]  # part warm
     code.vectors = {}
     assert code.decode([]) == set() and code.tuples([]) == []
-    # the first decode at a code keeps nothing, the next ones keep
-    code.vectors, code.warm = {}, False
-    assert code.decode(codes) == set(vectors) and code.vectors == {}
+    # decode keeps what it decodes, as tuples does
     assert code.decode(codes) == set(vectors) and len(code.vectors) == len(codes)
     assert code.decode(codes) == set(vectors)
 
@@ -253,4 +251,24 @@ def test_decode_map_stays_under_its_cap(monkeypatch):
     code.remember(codes[-3:], vectors[-3:])  # would pass it: emptied first
     assert code.vectors == dict(zip(codes[-3:], vectors[-3:]))
     assert code.tuples(codes) == vectors  # past the cap alone: not kept
-    assert code.vectors == {}
+    assert code.vectors == dict(zip(codes[-3:], vectors[-3:]))
+
+
+def test_decode_past_the_cap_leaves_the_kept_map(monkeypatch):
+    cap = 40
+    monkeypatch.setattr(weights, "_DECODE_CAP", cap)
+    code = DepthCode(3, 8)
+    code.vectors = {}
+    vectors = list(depth_vectors(3, 8))  # 165 of them
+    codes = [code.encode(c) for c in vectors]
+    assert code.tuples(codes[:30]) == vectors[:30]
+    kept = dict(code.vectors)
+    assert len(kept) == 30
+    # 30 kept and 20 misses would pass the cap: answered, nothing kept
+    part = codes[10:50] + codes[:5]
+    assert code.tuples(part) == vectors[10:50] + vectors[:5]
+    assert code.decode(part) == set(vectors[10:50] + vectors[:5])
+    assert code.vectors == kept
+    # misses that fit are still kept
+    assert code.decode(codes[30:40]) == set(vectors[30:40])
+    assert code.vectors == dict(zip(codes[:40], vectors[:40]))
