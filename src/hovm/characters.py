@@ -12,14 +12,15 @@ however tall the cutoff.
 The engine adds depth vectors as integers, on the library's code of depth
 vectors (hovm.weights.DepthCode): two vectors whose heights sum to at most
 the cutoff add without a carry, so vector addition is integer addition.
-The table keeps the codes of its keys in order of height, its values and
-their negatives, and fills the shared code -> vector map of its DepthCode.
-A shifted sum is assembled on codes, dropped of zeros and checked against
-the cutoff on codes, and decoded once, by lookup.  Weight sets run on the
-same code (hovm.weightsets) but not on this table's list of codes: they are
-sparse in its simplex, so they decode only the vectors they return.
+The table keeps codes only: those of its simplex in order of height, its
+values and their negatives.  A shifted sum is assembled on codes, dropped
+of zeros and checked against the cutoff on codes, and decoded once.
+Weight sets run on the same code (hovm.weightsets) but not on this table's
+list of codes: they are sparse in its simplex, so they decode only the
+vectors they return.
 """
 
+import bisect
 import functools
 import itertools
 import operator
@@ -28,14 +29,15 @@ from . import rootdata
 from .weights import (
     DepthCode,
     HighestWeight,
-    depth_vectors,
     dot_reflect,
     embed,
     height,
     integrability,
 )
 
-# One truncated ch M(0) per GCM, replaced only by a taller one.
+# One truncated ch M(0) per GCM, replaced only by a taller one, least
+# recently used first; past _TABLES_KEPT of them the oldest is dropped.
+_TABLES_KEPT = 8
 _tables = {}
 
 
@@ -96,59 +98,57 @@ class FormalCharacter:
 
 
 class _Table:
-    """ch M(0) of one GCM as a FormalCharacter, with the code of its cutoff,
-    the codes of its keys in their order (height, then lex), and its values
-    in that order with their negatives."""
+    """ch M(0) of one GCM up to height cutoff, on the code of that cutoff:
+    the codes of its depth vectors in their order (height, then lex), and
+    its values in that order with their negatives."""
 
-    __slots__ = ("char", "code", "codes", "values", "negated")
+    __slots__ = ("cutoff", "code", "codes", "values", "negated")
 
-    def __init__(self, char, code, codes):
-        self.char, self.code, self.codes = char, code, codes
-        self.values = list(char.coeffs.values())
-        self.negated = [-m for m in self.values]
+    def __init__(self, cutoff, code, codes, values):
+        self.cutoff, self.code, self.codes = cutoff, code, codes
+        self.values = values
+        self.negated = [-m for m in values]
 
 
 def _table(gcm, N):
-    """The _Table of gcm, built for height N unless one as tall is kept."""
-    table = _tables.get(gcm)
-    if table is not None and table.char.cutoff >= N:
-        return table
-    N = max(N, 0)
-    code = DepthCode(gcm.n, N)
-    vectors = sorted(depth_vectors(gcm.n, N), key=height)
-    codes = list(map(code.encode, vectors))
-    counts = dict.fromkeys(codes, 0)
-    counts[0] = 1
-    for beta in rootdata.positive_roots(gcm).positive_roots:
-        if height(beta) > N:
-            continue
-        step = code.encode(beta)
-        for i in code.cut(codes, code.limit - step):
-            counts[i + step] += counts[i]
-    char = FormalCharacter(N, dict(zip(vectors, counts.values())))
-    code.remember(codes, vectors)
-    table = _tables[gcm] = _Table(char, code, codes)
+    """The _Table of gcm, built for height N unless one as tall is kept.
+
+    Coin change on codes: one pass per positive root beta,
+    counts[i + code(beta)] += counts[i] over the codes i of height
+    <= N - |beta| (those with i + code(beta) below the limit, none if
+    |beta| > N) in order of height.  Callers must not mutate it.
+    """
+    table = _tables.pop(gcm, None)
+    if table is None or table.cutoff < N:
+        roots = rootdata.positive_roots(gcm).positive_roots
+        code = DepthCode(gcm.n, N)
+        codes = code.simplex(gcm.nodes)
+        counts = dict.fromkeys(codes, 0)
+        counts[0] = 1
+        for beta in roots:
+            step = code.encode(beta)
+            for i in code.cut(codes, code.limit - step):
+                counts[i + step] += counts[i]
+        table = _Table(N, code, codes, list(counts.values()))
+        if len(_tables) >= _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+    _tables[gcm] = table
     return table
 
 
 def partition_table(gcm, N):
-    """ch M(0) = prod_{beta>0} 1/(1-e^{-beta}) up to height >= N: at depth c,
+    """ch M(0) = prod_{beta>0} 1/(1-e^{-beta}) up to height N: at depth c,
     the Kostant partition function of c (Humphreys, BGG category O, 1.16).
-
-    Coin change on codes: one pass per positive root beta of height <= N,
-    counts[i + code(beta)] += counts[i] over the codes i of height
-    <= N - |beta| (those with i + code(beta) below the limit) in order of
-    height, the order of the keys too.  Kept per GCM, rebuilt only for a
-    taller N; callers must not mutate it.
-    """
-    return _table(gcm, N).char
+    Keys in order of height, then lex; read off the kept table (_table)."""
+    return shifted_partition_sum(gcm, [(1, (0,) * gcm.n)], N)
 
 
 def kostant_partition(gcm, beta):
     """Number of multisets of positive roots summing to beta."""
-    if any(b < 0 for b in beta):
+    if len(beta) != gcm.n or any(b < 0 for b in beta):
         return 0
-    return partition_table(gcm, height(beta)).coeff(beta)
+    table = _table(gcm, height(beta))
+    return table.values[bisect.bisect_left(table.codes, table.code.encode(beta))]
 
 
 def shifted_partition_sum(gcm, terms, N):
@@ -265,7 +265,7 @@ def on_levi(lam, J, N, levi_char):
     return FormalCharacter(N, coeffs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _two_rho_vee(gcm):
     """2 rho^vee, the sum of the positive coroots, on the simple coroots: the
     sum of the positive roots of the transposed matrix, whose roots are the

@@ -259,10 +259,10 @@ def restrict(gcm, nodes):
     return GCM([[gcm.a[i - 1][j - 1] for j in nodes] for i in nodes])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def positive_roots(gcm):
-    """Complete positive-root data for a finite-type GCM; cached, so every
-    caller shares the returned RootSystem and must treat it as read-only.
+    """Complete positive-root data for a finite-type GCM; the last 256 are
+    cached, so callers share a RootSystem and must treat it as read-only.
 
     Upward reflection closure of the simple roots: every positive root but
     a simple one is s_j beta for a lower positive root beta with

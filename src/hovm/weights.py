@@ -18,7 +18,7 @@ them kept.  Each keeps a code -> vector map of at most _DECODE_CAP
 vectors for every caller at (n, N): a decode is by lookup, misses by
 halves.  The misses are kept while the map stays under the cap; a decode
 that would pass it is answered from the map and its misses and leaves the
-map as it was.  The partition tables fill the map themselves.
+map as it was.  DepthCode.simplex is the one builder of a simplex of codes.
 """
 
 import bisect
@@ -234,13 +234,18 @@ class DepthCode:
             return list(map(known.__getitem__, codes))
         return list(map(fresh.get, codes, map(known.get, codes)))
 
-    def remember(self, codes, vectors):
-        """Keep these codes of these depth vectors, at most _DECODE_CAP of
-        them, the first ones given; a kept map that would pass the cap is
-        replaced."""
-        if len(self.vectors) + len(codes) > _DECODE_CAP:
-            self.vectors = {}
-        self.vectors.update(itertools.islice(zip(codes, vectors), _DECODE_CAP))
+    def simplex(self, nodes):
+        """The sorted codes of the depth vectors of height <= N supported on
+        `nodes` (1-based), built in order, one height layer at a time, with
+        no sort.  The nodes are added the last first, so each is the leading
+        digit so far: with node k added, the codes of height h are those so
+        far of height h, then code(alpha_k) plus each new one of height h - 1."""
+        layers = [[0]] + [[]] * (self.radix - 1)  # the codes so far, by height
+        for k in sorted(nodes, reverse=True):
+            step = self.places[k - 1].__add__
+            for h in range(1, self.radix):
+                layers[h] = [*layers[h], *map(step, layers[h - 1])]
+        return list(itertools.chain.from_iterable(layers))
 
     def _by_halves(self, codes):
         """The depth vectors of the codes, as a list in their order.  A code

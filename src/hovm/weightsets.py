@@ -14,8 +14,9 @@ is below the code's limit, and sorted codes run in order of height.
 Unions, comparisons and Minkowski sums run on codes; each public function
 decodes once, at its return, through the shared code -> vector map of its
 DepthCode: by lookup, misses by halves, so the decoding stays proportional
-to its output.  The character engine's list of every code of
-height <= N is not used: weight sets are sparse in that simplex.
+to its output.  Free nodes take their simplex from DepthCode.simplex, as
+the character engine's table does; that table's own codes are not read:
+weight sets are sparse in its simplex.
 """
 
 import itertools
@@ -173,16 +174,12 @@ def weight_member(spec, c):
 def weight_set(spec, N):
     """wt M(lambda, H) up to height N: the union over the minimal
     transversals J of wt M(lambda, J)."""
-    if not spec.holes.min_holes:
-        return set(depth_vectors(spec.gcm.n, N))
     codes = _weight_codes(spec, N)
     return DepthCode(spec.gcm.n, N).decode(codes)
 
 
 def _weight_codes(spec, N):
     """The codes of weight_set(spec, N); no holes is the Verma, J empty."""
-    if not spec.holes.min_holes:
-        return _stored_pvm_codes(spec, (), N)
     ts = spec.min_transversals()
     return set().union(*(_stored_pvm_codes(spec, J, N) for J in ts))
 
@@ -222,10 +219,7 @@ def _pvm_codes(lam, J, N):
     places, top, limit = code.places, code.top, code.limit
     K = [k for k in lam.gcm.nodes if k not in J]
     adjacent = [k for k in K if any(a[j - 1][k - 1] for j in J)]
-    free = [0]  # the free simplex, one ray of multiples at a time
-    for k in K:
-        if k not in adjacent:
-            free = sorted(_code_sum(range(0, limit, places[k - 1]), free, limit))
+    free = code.simplex([k for k in K if k not in adjacent])
     # t = 1..N, but an isolated node j keeps nu_j = lambda_j in every slice,
     # so no string at j is longer than lambda_j
     longest = [min(N, lam.evals[j - 1]) if lam.gcm.is_isolated(j) else N for j in J]
@@ -315,8 +309,6 @@ def psi_k(spec, k, N):
 
     Infinity is passed as math.inf (equivalently any k >= max hole size).
     """
-    if not spec.holes.min_holes:
-        return weight_set(spec, N)
     codes = set()
     for fam in holes_mod.admissible_sets(spec.holes, k):
         sub = HovmSpec(spec.lam, minimalize(spec.gcm, spec.holes.context, fam))

@@ -67,16 +67,48 @@ def test_kostant_partition_brute_force(name):
     assert kostant_partition(g, (-1,) + (0,) * (g.n - 1)) == 0
 
 
-def test_partition_table_grows_in_place():
+def test_partition_table_grows_in_place(monkeypatch):
+    # the kept table grows for a taller N; a shorter N is answered from the
+    # taller table, at exactly N
     g = parse_gcm("C3")
-    characters._tables.pop(g, None)
-    before = set(characters._tables)
-    small = dict(partition_table(g, 4).coeffs)
+    monkeypatch.setattr(characters, "_tables", {})
+    small = partition_table(g, 4)
+    assert small.cutoff == 4 and characters._tables[g].cutoff == 4
     tall = partition_table(g, 8)
-    assert set(characters._tables) == before | {g}
-    assert characters._tables[g].char is tall and tall.cutoff == 8
-    assert {c: tall.coeffs[c] for c in small} == small
-    assert partition_table(g, 4) is tall  # a shorter N reuses the taller table
+    table = characters._tables[g]
+    assert list(characters._tables) == [g] and table.cutoff == 8
+    assert tall.cutoff == 8 and {c: tall.coeffs[c] for c in small.coeffs} == small.coeffs
+    assert partition_table(g, 4) == small
+    assert kostant_partition(g, (1, 1, 1)) == tall.coeff((1, 1, 1))
+    assert characters._tables[g] is table
+
+
+def test_partition_tables_are_kept_in_a_bounded_lru(monkeypatch):
+    assert characters._TABLES_KEPT == 8
+    monkeypatch.setattr(characters, "_tables", {})
+    names = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+    gcms = [parse_gcm(name) for name in names]
+    first = characters._table(gcms[0], 6)
+    # each use moves a table to the back; past the bound the oldest goes
+    for g in gcms[1:8]:
+        characters._table(g, 3)
+        assert characters._table(gcms[0], 4) is first
+    assert len(characters._tables) == characters._TABLES_KEPT
+    for g in gcms[8:]:
+        characters._table(g, 3)
+        assert len(characters._tables) == characters._TABLES_KEPT
+    assert gcms[0] in characters._tables and gcms[1] not in characters._tables
+    for g in gcms[1:8]:
+        characters._table(g, 3)
+    assert gcms[0] not in characters._tables
+    rebuilt = characters._table(gcms[0], 6)  # an evicted table rebuilds equal
+    assert rebuilt is not first and rebuilt.cutoff == first.cutoff
+    assert (rebuilt.codes, rebuilt.values) == (first.codes, first.values)
+
+
+def test_root_caches_are_bounded():
+    assert positive_roots.cache_info().maxsize == 256
+    assert _two_rho_vee.cache_info().maxsize == 256
 
 
 def test_tables_of_one_rank_stay_apart():
@@ -173,7 +205,7 @@ def test_sums_on_codes_match_tuples(name):
             rng.shuffle(terms)
             got = shifted_partition_sum(g, terms, N)
             assert got == FormalCharacter(N, _tuple_shifted_sum(prefix, g.n, terms, N))
-            assert characters._tables[g].char.cutoff == 12
+            assert characters._tables[g].cutoff == 12
 
 
 def test_check_on_codes_holds_at_the_limit():

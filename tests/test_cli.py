@@ -447,6 +447,7 @@ def test_broken_pipe_exits_quietly():
     assert proc.stdout.read(150)
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=30) == 1
     assert err == ""
 

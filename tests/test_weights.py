@@ -211,6 +211,23 @@ def test_warm_decode_equals_cold(n, N):
     assert code.decode(codes) == set(vectors)
 
 
+@pytest.mark.parametrize(
+    "n, N, nodes",
+    [(3, 0, [1, 2, 3]), (3, 4, []), (1, 6, [1]), (4, 5, [1, 3, 4]), (5, 4, [5, 2]),
+     (8, 3, list(range(1, 9)))],
+)
+def test_simplex_is_the_sorted_codes_on_its_nodes(n, N, nodes):
+    # N = 0, no nodes, rank 1, proper node subsets (one given out of order)
+    # and E8's rank at N = 3
+    code = DepthCode(n, N)
+    want = sorted(
+        code.encode(c)
+        for c in depth_vectors(n, N)
+        if all(c[i - 1] == 0 for i in range(1, n + 1) if i not in nodes)
+    )
+    assert code.simplex(nodes) == want
+
+
 def test_depth_codes_are_shared_in_a_bounded_lru():
     assert weights._CODES_KEPT == 8
     code = DepthCode(2, 3)
@@ -246,12 +263,9 @@ def test_decode_map_stays_under_its_cap(monkeypatch):
         assert code.decode(part) == {want[x] for x in part}
         assert len(code.vectors) <= cap
         assert all(want[x] == c for x, c in code.vectors.items())
-    code.remember(codes, vectors)  # more than the cap: the first ones
-    assert code.vectors == dict(zip(codes[:cap], vectors[:cap]))
-    code.remember(codes[-3:], vectors[-3:])  # would pass it: emptied first
-    assert code.vectors == dict(zip(codes[-3:], vectors[-3:]))
+    kept = dict(code.vectors)
     assert code.tuples(codes) == vectors  # past the cap alone: not kept
-    assert code.vectors == dict(zip(codes[-3:], vectors[-3:]))
+    assert code.vectors == kept
 
 
 def test_decode_past_the_cap_leaves_the_kept_map(monkeypatch):
