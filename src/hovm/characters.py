@@ -13,8 +13,10 @@ The engine adds depth vectors as integers, on the library's code of depth
 vectors (hovm.weights.DepthCode): two vectors whose heights sum to at most
 the cutoff add without a carry, so vector addition is integer addition.
 The table keeps codes only: those of its simplex in order of height, its
-values and their negatives.  A shifted sum is assembled on codes, dropped
-of zeros and checked against the cutoff on codes, and decoded once.
+values and their negatives, and not the code itself, which it looks up as
+DepthCode(n, cutoff) on each use, so one (n, cutoff) has one decode map.
+A shifted sum is assembled on codes, dropped of zeros and checked against
+the cutoff on codes, and decoded once.
 Weight sets run on the same code (hovm.weightsets) but not on this table's
 list of codes: they are sparse in its simplex, so they decode only the
 vectors they return.
@@ -102,10 +104,10 @@ class _Table:
     the codes of its depth vectors in their order (height, then lex), and
     its values in that order with their negatives."""
 
-    __slots__ = ("cutoff", "code", "codes", "values", "negated")
+    __slots__ = ("cutoff", "codes", "values", "negated")
 
-    def __init__(self, cutoff, code, codes, values):
-        self.cutoff, self.code, self.codes = cutoff, code, codes
+    def __init__(self, cutoff, codes, values):
+        self.cutoff, self.codes = cutoff, codes
         self.values = values
         self.negated = [-m for m in values]
 
@@ -129,7 +131,7 @@ def _table(gcm, N):
             step = code.encode(beta)
             for i in code.cut(codes, code.limit - step):
                 counts[i + step] += counts[i]
-        table = _Table(N, code, codes, list(counts.values()))
+        table = _Table(N, codes, list(counts.values()))
         if len(_tables) >= _TABLES_KEPT:
             del _tables[next(iter(_tables))]
     _tables[gcm] = table
@@ -144,11 +146,15 @@ def partition_table(gcm, N):
 
 
 def kostant_partition(gcm, beta):
-    """Number of multisets of positive roots summing to beta."""
-    if len(beta) != gcm.n or any(b < 0 for b in beta):
+    """Number of multisets of positive roots summing to beta, a vector of
+    gcm.n integers; ValueError for another length."""
+    if len(beta) != gcm.n:
+        raise ValueError("root vector must have %d entries" % gcm.n)
+    if any(b < 0 for b in beta):
         return 0
     table = _table(gcm, height(beta))
-    return table.values[bisect.bisect_left(table.codes, table.code.encode(beta))]
+    code = DepthCode(gcm.n, table.cutoff)
+    return table.values[bisect.bisect_left(table.codes, code.encode(beta))]
 
 
 def shifted_partition_sum(gcm, terms, N):
@@ -172,7 +178,7 @@ def shifted_partition_sum(gcm, terms, N):
         rootdata.positive_roots(gcm)
         return FormalCharacter(N, {})
     table = _table(gcm, N)
-    code, codes = table.code, table.codes
+    code, codes = DepthCode(gcm.n, table.cutoff), table.codes
     # code order is height order, so the shallowest shift comes first
     shifts = sorted((code.encode(d), sign) for d, sign in numerator.items() if sign)
     coeffs = None

@@ -14,23 +14,27 @@ heights sum to at most N add without a carry, so a code sum is a vector
 sum; and height(c) <= h exactly when code(c) < (h+1) (N+1)^n.
 
 DepthCode(n, N) is one shared object per (n, N), the last _CODES_KEPT of
-them kept.  Each keeps a code -> vector map of at most _DECODE_CAP
-vectors for every caller at (n, N): a decode is by lookup, misses by
-halves.  The misses are kept while the map stays under the cap; a decode
-that would pass it is answered from the map and its misses and leaves the
-map as it was.  DepthCode.simplex is the one builder of a simplex of codes.
+them kept (an lru_cache).  It keeps a code -> vector map for every caller
+at (n, N) exactly when its whole simplex, comb(N + n, n) vectors, is at
+most _DECODE_CAP, so a kept map never passes the cap: a decode is by
+lookup, and the misses are decoded by halves and added.  Past the cap a
+code keeps no map and decodes every time by halves.  DepthCode.simplex is
+the one builder of a simplex of codes.
 """
 
 import bisect
+import functools
 import itertools
+import math
 import operator
 
 
 class _NonIntegral:
-    """Generic non-integer evaluation: absorbs integer shifts, never in Z>=0.
+    """Generic non-integer evaluation, never in Z>=0.
 
     Two NonIntegral values are never compared; the formulas in scope only
-    ever test membership of a single evaluation in Z>=0.
+    ever test membership of a single evaluation in Z>=0.  It takes no
+    arithmetic: a caller that shifts an evaluation checks for it first.
     """
 
     _instance = None
@@ -42,18 +46,6 @@ class _NonIntegral:
 
     def __repr__(self):
         return "NONINT"
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self
-        return NotImplemented
 
 
 NONINT = _NonIntegral()
@@ -173,11 +165,9 @@ def height(c):
     return sum(c)
 
 
-# The DepthCodes in use, one per (n, N), least recently used first; past
-# _CODES_KEPT of them the oldest is dropped.
+# The number of DepthCodes kept, and the largest simplex, in vectors, whose
+# DepthCode keeps a code -> vector map.
 _CODES_KEPT = 8
-_codes = {}
-# The most depth vectors one DepthCode keeps decoded.
 _DECODE_CAP = 2**15
 
 
@@ -185,22 +175,21 @@ class DepthCode:
     """The code of the depth vectors of rank n and height <= N (see above):
     places[i - 1] is the place value of c_i, top = (N+1)^n that of the
     height digit, and limit = (N+1) top, the least code of height N + 1.
-    DepthCode(n, N) is shared (see above); vectors is its code -> vector map."""
+    DepthCode(n, N) is shared (see above); vectors is its code -> vector
+    map, or None past the cap."""
 
     __slots__ = ("n", "radix", "places", "top", "limit", "vectors")
 
+    @functools.lru_cache(maxsize=_CODES_KEPT)
     def __new__(cls, n, N):
-        code = _codes.pop((n, N), None)
-        if code is None:
-            code = super().__new__(cls)
-            radix = N + 1
-            top = radix**n
-            code.n, code.radix, code.top, code.limit = n, radix, top, radix * top
-            code.places = [radix ** (n - i) + top for i in range(1, n + 1)]
-            code.vectors = {}
-            if len(_codes) >= _CODES_KEPT:
-                del _codes[next(iter(_codes))]
-        _codes[n, N] = code
+        code = super().__new__(cls)
+        radix = N + 1
+        top = radix**n
+        code.n, code.radix, code.top, code.limit = n, radix, top, radix * top
+        code.places = [radix ** (n - i) + top for i in range(1, n + 1)]
+        # a negative N has no vector (and math.comb refuses it)
+        fits = N < 0 or math.comb(N + n, n) <= _DECODE_CAP
+        code.vectors = {} if fits else None
         return code
 
     def encode(self, c):
@@ -211,28 +200,19 @@ class DepthCode:
         return set(self.tuples(codes))
 
     def tuples(self, codes):
-        """The depth vectors of a collection of codes, as a list in their order.
-
-        Codes the kept map misses are decoded by halves; they are kept if
-        the map stays under the cap, else the call is answered from the map
-        and its misses and the map is left as it was."""
+        """The depth vectors of a collection of codes, as a list in their order:
+        looked up in the kept map, whose misses are decoded by halves and
+        added, or with no map all decoded by halves."""
         known = self.vectors
+        if known is None:
+            return self._by_halves(codes)
         try:
             return list(map(known.__getitem__, codes))
         except KeyError:
             pass
-        missing = [c for c in codes if c not in known] if known else codes
-        fresh = self._by_halves(missing)
-        kept = len(known) + len(fresh) <= _DECODE_CAP
-        if not known:  # missing is codes
-            if kept:
-                self.vectors = dict(zip(missing, fresh))
-            return fresh
-        fresh = dict(zip(missing, fresh))
-        if kept:
-            known.update(fresh)
-            return list(map(known.__getitem__, codes))
-        return list(map(fresh.get, codes, map(known.get, codes)))
+        missing = [c for c in codes if c not in known]
+        known.update(zip(missing, self._by_halves(missing)))
+        return list(map(known.__getitem__, codes))
 
     def simplex(self, nodes):
         """The sorted codes of the depth vectors of height <= N supported on

@@ -12,11 +12,12 @@ N+1 of c below a top digit that holds height(c).  A code sum of heights
 summing to at most N is a vector sum, it is of height <= N exactly when it
 is below the code's limit, and sorted codes run in order of height.
 Unions, comparisons and Minkowski sums run on codes; each public function
-decodes once, at its return, through the shared code -> vector map of its
-DepthCode: by lookup, misses by halves, so the decoding stays proportional
-to its output.  Free nodes take their simplex from DepthCode.simplex, as
-the character engine's table does; that table's own codes are not read:
-weight sets are sparse in its simplex.
+decodes once, at its return, through its shared DepthCode: by lookup in
+the code's map (kept when the whole simplex fits the cap), misses and
+codes past the cap by halves, so the decoding stays proportional to its
+output.  The free and the adjacent nodes of a slice take their simplex
+from DepthCode.simplex, as the character engine's table does; that
+table's own codes are not read: weight sets are sparse in its simplex.
 """
 
 import itertools
@@ -33,9 +34,7 @@ from .holes import CapExceeded, HoleSet, minimalize, transversals
 from .weights import (
     DepthCode,
     HighestWeight,
-    depth_vectors,
     eval_at,
-    height,
     integrability,
     is_nonneg_int,
     lambda_H,
@@ -207,10 +206,11 @@ def _pvm_codes(lam, J, N):
 
     nu reads c only on the nodes of J^c adjacent to J.  The other nodes of
     J^c are free: a slice is the weights of L_J(nu) plus the free simplex,
-    built once per nu as codes.  The adjacent c run in order of height, so
-    each slice is built at its tallest cut, sorted, and cut by bisection for
-    the shorter ones.  With no adjacent node (always over sl2^n) there is
-    one slice, at the full cut, and no sort.
+    built once per nu as codes.  The adjacent c run in order of height (the
+    codes of their simplex), so each slice is built at its tallest cut,
+    sorted, and cut by bisection for the shorter ones.  With no adjacent
+    node (always over sl2^n) there is one slice, at the full cut, and no
+    sort.
     """
     J, a = _levi(lam, J), lam.gcm.a
     if N < 0:  # no weight, and no radix
@@ -235,18 +235,17 @@ def _pvm_codes(lam, J, N):
             out.extend(map(c.__add__, code.cut(free, cut - c)))
         return out
 
-    # nu_j = lambda_j - sum_k a_jk c_k over the adjacent k
-    rows = [(lam.evals[j - 1], [a[j - 1][k - 1] for k in adjacent]) for j in J]
     if not adjacent:
-        return set(slice_codes([e for e, _ in rows], N))
-    adjacent_places = [places[k - 1] for k in adjacent]
+        return set(slice_codes([lam.evals[j - 1] for j in J], N))
+    # nu_j = lambda_j - sum_k a_jk c_k, c zero off the adjacent k
+    rows = [(lam.evals[j - 1], a[j - 1]) for j in J]
+    shifts = code.simplex(adjacent)
     slices, out = {}, set()
-    for c_adj in sorted(depth_vectors(len(adjacent), N), key=height):
+    for shift, c_adj in zip(shifts, code.tuples(shifts)):
         nu = tuple(e - sum(map(operator.mul, row, c_adj)) for e, row in rows)
         codes = slices.get(nu)
         if codes is None:
-            codes = slices[nu] = sorted(slice_codes(nu, N - height(c_adj)))
-        shift = sum(map(operator.mul, c_adj, adjacent_places))
+            codes = slices[nu] = sorted(slice_codes(nu, N - shift // top))
         out.update(map(shift.__add__, code.cut(codes, limit - shift)))
     return out
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hovm import characters
+from hovm import characters, weights
 from hovm.characters import (
     FormalCharacter,
     _two_rho_vee,
@@ -20,7 +20,7 @@ from hovm.characters import (
 )
 from hovm.oracle import freudenthal_char
 from hovm.rootdata import parse_gcm, positive_roots
-from hovm.weights import HighestWeight, depth_vectors, dot_reflect, height
+from hovm.weights import DepthCode, HighestWeight, depth_vectors, dot_reflect, height
 
 A2 = parse_gcm("A2")
 B2 = parse_gcm("B2")
@@ -67,6 +67,14 @@ def test_kostant_partition_brute_force(name):
     assert kostant_partition(g, (-1,) + (0,) * (g.n - 1)) == 0
 
 
+@pytest.mark.parametrize("beta", [(1,), (1, 1, 5), ()])
+def test_kostant_partition_refuses_a_wrong_length(beta):
+    # a malformed vector is refused, not read as "no partition"
+    with pytest.raises(ValueError):
+        kostant_partition(A2, beta)
+    assert kostant_partition(A2, (-1, 3)) == 0
+
+
 def test_partition_table_grows_in_place(monkeypatch):
     # the kept table grows for a taller N; a shorter N is answered from the
     # taller table, at exactly N
@@ -104,6 +112,20 @@ def test_partition_tables_are_kept_in_a_bounded_lru(monkeypatch):
     rebuilt = characters._table(gcms[0], 6)  # an evicted table rebuilds equal
     assert rebuilt is not first and rebuilt.cutoff == first.cutoff
     assert (rebuilt.codes, rebuilt.values) == (first.codes, first.values)
+
+
+def test_sums_decode_through_the_shared_code(monkeypatch):
+    # a table does not hold a code of its own: once the shared codes have
+    # dropped (2, 5), a sum at (2, 5) decodes through the one DepthCode(2, 5)
+    monkeypatch.setattr(characters, "_tables", {})
+    characters._table(A2, 5)
+    for N in range(300, 300 + weights._CODES_KEPT):
+        DepthCode(1, N)
+    code = DepthCode(2, 5)
+    assert code.vectors == {}
+    ch = shifted_partition_sum(A2, [(1, (0, 0)), (-1, (1, 0))], 5)
+    assert ch.support() and ch.support() <= set(code.vectors.values())
+    assert DepthCode(2, 5) is code
 
 
 def test_root_caches_are_bounded():
@@ -212,7 +234,7 @@ def test_check_on_codes_holds_at_the_limit():
     # codes of height N + 1, all at or past (N + 1) top, are refused as the
     # constructor refuses their vectors; a zero there is dropped first
     table = characters._table(B2, 9)
-    code, N = table.code, 4
+    code, N = DepthCode(B2.n, table.cutoff), 4
     limit = (N + 1) * code.top
     last, over = code.encode((N, 0)), code.encode((0, N + 1))
     assert last < limit <= over

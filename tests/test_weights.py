@@ -25,9 +25,10 @@ SL22 = parse_gcm("A1^2")
 
 
 def test_nonint_marker():
-    assert NONINT + 3 is NONINT
-    assert 1 + NONINT is NONINT
-    assert NONINT - 2 is NONINT
+    # no arithmetic on "x": a shift of it is never silently absorbed
+    for shift in (lambda e: e + 3, lambda e: 1 + e, lambda e: e - 2):
+        with pytest.raises(TypeError):
+            shift(NONINT)
     lam = HighestWeight(A2, [1, "x"])
     assert lam.evals[1] is NONINT
 
@@ -230,59 +231,61 @@ def test_simplex_is_the_sorted_codes_on_its_nodes(n, N, nodes):
 
 def test_depth_codes_are_shared_in_a_bounded_lru():
     assert weights._CODES_KEPT == 8
+    assert DepthCode.__new__.cache_info().maxsize == weights._CODES_KEPT
     code = DepthCode(2, 3)
     assert DepthCode(2, 3) is code
     assert DepthCode(3, 2) is not code
-    # each use moves a code to the back; past the bound the oldest goes
+    # each use makes a code the most recent; past the bound the oldest goes
     for N in range(100, 100 + weights._CODES_KEPT - 1):
         DepthCode(1, N)
         assert DepthCode(2, 3) is code
-        assert len(weights._codes) <= weights._CODES_KEPT
     for N in range(200, 200 + weights._CODES_KEPT):
         DepthCode(1, N)
-        assert len(weights._codes) <= weights._CODES_KEPT
-    assert (2, 3) not in weights._codes
+        assert DepthCode.__new__.cache_info().currsize <= weights._CODES_KEPT
     fresh = DepthCode(2, 3)
     assert fresh is not code and fresh.places == code.places
     assert fresh.decode([code.encode((1, 2))]) == {(1, 2)}
 
 
-def test_decode_map_stays_under_its_cap(monkeypatch):
+@pytest.fixture
+def fresh_codes():
+    """No shared DepthCode before or after the test, so a patched cap decides
+    the maps of the codes the test builds, and of those only."""
+    DepthCode.__new__.cache_clear()
+    yield
+    DepthCode.__new__.cache_clear()
+
+
+@pytest.mark.parametrize("cap, kept", [(220, True), (219, False)])
+def test_a_code_keeps_a_map_only_when_its_simplex_fits(
+    monkeypatch, fresh_codes, cap, kept
+):
+    # the simplex of rank 3 and height <= 9 holds comb(12, 3) = 220 vectors:
+    # a cap of 220 keeps its map, warm by lookup; one less keeps none, and
+    # every decode is by halves
     assert weights._DECODE_CAP == 2**15
-    cap = 40
     monkeypatch.setattr(weights, "_DECODE_CAP", cap)
     code = DepthCode(3, 9)
-    code.vectors = {}
-    vectors = list(depth_vectors(3, 9))  # 220 of them
+    vectors = list(depth_vectors(3, 9))
+    assert len(vectors) == math.comb(12, 3) == 220
+    assert code.vectors == ({} if kept else None)
     codes = [code.encode(c) for c in vectors]
     want = dict(zip(codes, vectors))
     rng = random.Random(5)
-    for size in [5, 30, 12, 39, 40, 41, 220, 3, 25, 25, 60, 1]:
+    for size in [5, 30, 12, 220, 3, 60, 1]:
         part = rng.sample(codes, size)
         assert code.tuples(part) == [want[x] for x in part]
         assert code.decode(part) == {want[x] for x in part}
-        assert len(code.vectors) <= cap
-        assert all(want[x] == c for x, c in code.vectors.items())
-    kept = dict(code.vectors)
-    assert code.tuples(codes) == vectors  # past the cap alone: not kept
-    assert code.vectors == kept
+        if kept:
+            assert code.vectors.items() <= want.items()
+    assert code.tuples(codes) == vectors
+    assert code.tuples(codes[::-1]) == vectors[::-1]
+    assert code.vectors == (want if kept else None)
 
 
-def test_decode_past_the_cap_leaves_the_kept_map(monkeypatch):
-    cap = 40
-    monkeypatch.setattr(weights, "_DECODE_CAP", cap)
-    code = DepthCode(3, 8)
-    code.vectors = {}
-    vectors = list(depth_vectors(3, 8))  # 165 of them
-    codes = [code.encode(c) for c in vectors]
-    assert code.tuples(codes[:30]) == vectors[:30]
-    kept = dict(code.vectors)
-    assert len(kept) == 30
-    # 30 kept and 20 misses would pass the cap: answered, nothing kept
-    part = codes[10:50] + codes[:5]
-    assert code.tuples(part) == vectors[10:50] + vectors[:5]
-    assert code.decode(part) == set(vectors[10:50] + vectors[:5])
-    assert code.vectors == kept
-    # misses that fit are still kept
-    assert code.decode(codes[30:40]) == set(vectors[30:40])
-    assert code.vectors == dict(zip(codes[:40], vectors[:40]))
+@pytest.mark.parametrize("n, N", [(1, -1), (2, -1), (2, -5), (8, -3)])
+def test_a_code_below_height_0_builds(n, N):
+    # no vector has a negative height, so nothing to decode, but the code
+    # builds: math.comb refuses the negative sizes of its simplex
+    code = DepthCode(n, N)
+    assert code.decode([]) == set() and code.tuples([]) == []
