@@ -1,8 +1,9 @@
 """Command line interface: JSON jobs in, sorted JSON out.
 
 Exit codes: 0 success, 2 validation error (any ValueError or CapExceeded,
-reported as {"error": ...}), 3 verification mismatch, 1 when the reader
-closes stdout before the output is written (a broken pipe, e.g. `| head`).
+reported as {"error": ...}) or a job that runs out of memory, 3
+verification mismatch, 1 when the reader closes stdout before the output
+is written (a broken pipe, e.g. `| head`).
 All output is deterministic for a fixed (input, seed).
 """
 
@@ -376,6 +377,11 @@ def main(argv=None):
         indent = 2
     except (ValueError, CapExceeded) as e:
         result, code, indent = {"error": str(e)}, 2, None
+    except MemoryError:
+        # a last resort: the job's partial data is freed when this handler
+        # ends, so there is room to write the error
+        result, code, indent = {"error": "out of memory: the job needs more "
+                                "memory than this process may use"}, 2, None
     try:
         print(json.dumps(result, sort_keys=True, indent=indent))
         sys.stdout.flush()

@@ -8,18 +8,21 @@ arithmetic.
 
 Below a cutoff N a depth vector c of rank n is coded as the integer
 code(c) = sum_i c_i (N+1)^(n-i), c_1 the most significant digit.  No
-coordinate exceeds N, so a code is a number in base N+1, code order is
-lex order, and the last coordinate under a fixed prefix is one range of
-consecutive codes, a run.  The standard monomials and the boxes of
-strings and rays (the simple characters) are generated once, as lists of
-runs; the tuple-valued functions decode each run's prefix once.
+coordinate exceeds N, so a code is a number in base N+1 and code order
+is lex order.  A set of vectors is a mask, one int with bit code(c) set
+for each c in the set.  The simplex of height <= N is built once per
+(n, N).  A box of strings and rays is built by doubling, one coordinate
+at a time, and shifted to its corner; each side is cut so that no digit
+carries.  The standard monomials are the simplex minus the box of rays
+above each generator.  The tuple-valued functions cut a mask into runs
+of consecutive codes at the multiples of N+1, where the last coordinate
+wraps, and decode each run's prefix once.
 
 The Jordan-Hoelder peel (oracle_jh) is a set cover: every sl2^n weight
 space is a line, so every multiplicity is 1 and the weights not yet
-covered are a set of codes.  Tops are taken in ascending code order;
-lex order extends the componentwise order, so this finds the same
-factors as a peel in (height, lex) order, and they are returned in that
-order.
+covered are a mask.  Tops are taken in ascending code order; lex order
+extends the componentwise order, so this finds the same factors as a
+peel in (height, lex) order, and they are returned in that order.
 
 Over any finite-type Levi: the character of a finite-dimensional simple
 module by Freudenthal's multiplicity recursion (freudenthal_char), a check
@@ -28,7 +31,7 @@ height layer by layer and stops at the first layer with no weight, so it
 needs no bound from the character engine.
 """
 
-import itertools
+import functools
 import operator
 
 from . import rootdata
@@ -64,61 +67,75 @@ def _decode(code, n, radix):
     return tuple(out)
 
 
-def _vectors(runs, n, radix):
-    """The depth vectors of the runs, in their order; each run's prefix is
+def _vectors(mask, n, radix):
+    """The depth vectors in a mask, in code order.  Each run of set bits is
+    cut at the multiples of radix, so that a run keeps one prefix, which is
     decoded once."""
-    for run in runs:
-        rest, start = divmod(run.start, radix)
-        prefix = _decode(rest, n - 1, radix)
-        for v in range(start, start + len(run)):
-            yield prefix + (v,)
+    bits = format(mask, "b")[::-1]
+    start = bits.find("1")
+    while start >= 0:
+        end = bits.find("0", start)
+        if end < 0:
+            end = len(bits)
+        while start < end:
+            rest, low = divmod(start, radix)
+            prefix = _decode(rest, n - 1, radix)
+            stop = min(end, start - low + radix)
+            for v in range(low, low + stop - start):
+                yield prefix + (v,)
+            start = stop
+        start = bits.find("1", end)
 
 
-def _standard_runs(mod):
-    """The monomials outside the ideal as runs of codes, in lex order.
+@functools.lru_cache(maxsize=64)
+def _simplex(n, radix):
+    """The mask of every depth vector of rank n and height below radix."""
+    # rows[h + 1]: height <= h over the last coordinates built so far
+    rows = [0] + [(2 << h) - 1 for h in range(radix)]
+    place = 1
+    for _ in range(n - 1):
+        place *= radix
+        for h in range(2, radix + 1):
+            rows[h] |= rows[h - 1] << place
+    return rows[-1]
 
-    Built one coordinate at a time; each prefix carries the set of
-    generators it dominates so far, as a bit mask.  Once a carried generator
-    has no support after the coordinate, its entry there and every larger
-    value lie in the ideal, so the coordinate stops at the least such entry
-    and at the height left.
-    """
-    n, N, gens = mod.gcm.n, mod.cutoff, mod.generators
-    radix = N + 1
-    # a generator's last support; the zero generator (the empty hole) stops
-    # coordinate 1 at 0, so the zero module has no monomials
-    ends = [max((i for i, a in enumerate(g) if a), default=0) for g in gens]
-    level = [(0, 0, (1 << len(gens)) - 1)]  # (code, height, carried mask)
-    for i in range(n):
-        # kept[v]: the generators with entry <= v at coordinate i
-        kept = [0] * radix
-        for k, g in enumerate(gens):
-            if g[i] < radix:
-                kept[g[i]] |= 1 << k
-        kept = list(itertools.accumulate(kept, operator.or_))
-        place = radix ** (n - 1 - i)
-        stops, nxt = {}, []
-        for code, h, live in level:
-            stop = stops.get(live)
-            if stop is None:
-                stop = stops[live] = min([radix] + [
-                    g[i] for k, g in enumerate(gens) if live >> k & 1 and ends[k] == i])
-            if stop > N - h:
-                stop = N - h + 1
-            if i < n - 1:
-                nxt.extend([(code + v * place, h + v, live & kept[v]) for v in range(stop)])
-            elif stop:
-                nxt.append(range(code, code + stop))
-        level = nxt
-    return level
+
+def _box(evals, top, radix):
+    """The box of strings (length ev + 1 at an integrable evaluation) and
+    rays above top, as a mask.  Each side is cut at radix - top_i, so no
+    digit carries; a side below 1 leaves the box empty."""
+    mask = place = 1
+    code = 0
+    for ev, c in zip(reversed(evals), reversed(top)):
+        size = min(ev + 1 if is_nonneg_int(ev) else radix, radix - c)
+        if size < 1:
+            return 0
+        width = 1
+        while width < size:
+            step = min(width, size - width)
+            mask |= mask << step * place
+            width += step
+        code += c * place
+        place *= radix
+    return mask << code
+
+
+def _standard(mod):
+    """The monomials outside the ideal as a mask: the simplex minus the box
+    of rays above each generator."""
+    n, radix = mod.gcm.n, mod.cutoff + 1
+    ideal = 0
+    for g in mod.generators:
+        ideal |= _box((NONINT,) * n, g, radix)
+    return _simplex(n, radix) & ~ideal
 
 
 def oracle_weights(mod):
-    return set(_vectors(_standard_runs(mod), mod.gcm.n, mod.cutoff + 1))
+    return set(_vectors(_standard(mod), mod.gcm.n, mod.cutoff + 1))
 
 
 def oracle_char(mod):
-    vectors = _vectors(_standard_runs(mod), mod.gcm.n, mod.cutoff + 1)
+    vectors = _vectors(_standard(mod), mod.gcm.n, mod.cutoff + 1)
     return FormalCharacter(mod.cutoff, dict.fromkeys(vectors, 1))
 
 
@@ -142,58 +159,41 @@ def oracle_holes(mod):
     return HoleSet(J, minimal)
 
 
-def _box_runs(code, left, evals, radix):
-    """The box of strings (length ev + 1 at an integrable evaluation) and
-    rays above the vector with this code, cut at the height `left` still
-    free, as runs of codes in lex order."""
-    n = len(evals)
-    # a ray is a string longer than any height below the cut
-    sizes = [ev + 1 if is_nonneg_int(ev) else radix for ev in evals]
-    level = [(code, left)] if left >= 0 else []
-    for i in range(n - 1):
-        place, size = radix ** (n - 1 - i), sizes[i]
-        level = [(c + v * place, rest - v)
-                 for c, rest in level for v in range(rest + 1 if rest < size else size)]
-    size = sizes[-1]
-    return [range(c, c + (rest + 1 if rest < size else size)) for c, rest in level]
-
-
 def oracle_simple_char(lam, N):
     """ch L(lambda) over sl2^n: a product of strings and rays per coordinate."""
     if not lam.gcm.is_sl2n:
         raise ValueError("the oracle only models sl2^n")
-    runs = _box_runs(0, N, lam.evals, N + 1)
-    return FormalCharacter(N, dict.fromkeys(_vectors(runs, lam.gcm.n, N + 1), 1))
+    n, radix = lam.gcm.n, N + 1
+    mask = _box(lam.evals, (0,) * n, radix) & _simplex(n, radix)
+    return FormalCharacter(N, dict.fromkeys(_vectors(mask, n, radix), 1))
 
 
 def oracle_jh(mod):
     """Jordan-Hoelder data by peeling tops off the standard monomials.
 
     Every sl2^n weight space is a line, so every coefficient met in the
-    peel is 0 or 1, and the weights not yet covered by a factor are a set
-    of codes.  The next factor top is the least uncovered code.  Lex order
-    extends the componentwise order, so every vector below that top is
-    settled before it, and the factors are those of a peel in any order
-    extending the componentwise one, (height, lex) included.  The top's
-    simple character, its box of strings and rays, must lie in the
-    uncovered set (else a coefficient would go negative) and is removed
-    from it.  Returns [(top, 1)] in (height, lex) order.  Exact as long as
-    the cutoff separates the block.
+    peel is 0 or 1 and the weights not yet covered are a mask.  The next
+    top is its lowest set bit.  Lex order extends the componentwise order,
+    so every vector below that top is settled before it, and the factors
+    are those of a peel in (height, lex) order.  The top's box of strings
+    and rays must lie in the uncovered mask (else a coefficient would go
+    negative) and is cleared from it.  Returns [(top, 1)] in (height, lex)
+    order.  Exact as long as the cutoff separates the block.
     """
-    lam, N, n = mod.lam, mod.cutoff, mod.gcm.n
-    radix = N + 1
-    remaining = set(itertools.chain.from_iterable(_standard_runs(mod)))
+    lam, n, radix = mod.lam, mod.gcm.n, mod.cutoff + 1
+    simplex = _simplex(n, radix)
+    remaining = _standard(mod)
     tops = []
     while remaining:
-        t = min(remaining)  # every smaller code is covered already
+        t = (remaining & -remaining).bit_length() - 1  # every lower code is covered
         top = _decode(t, n, radix)
         tops.append(top)
         # <lambda - sum c_i alpha_i, alpha_j^vee> = lambda_j - 2 c_j over sl2^n
         evals = [e if e is NONINT else e - 2 * c for e, c in zip(lam.evals, top)]
-        for run in _box_runs(t, N - sum(top), evals, radix):
-            if not remaining.issuperset(run):
-                raise AssertionError("negative multiplicity while peeling")
-            remaining.difference_update(run)
+        box = _box(evals, top, radix) & simplex
+        if box & ~remaining:
+            raise AssertionError("negative multiplicity while peeling")
+        remaining ^= box
     tops.sort(key=lambda c: (sum(c), c))
     return [(top, 1) for top in tops]
 

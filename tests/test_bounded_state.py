@@ -36,7 +36,7 @@ def test_every_lru_cache_is_bounded():
     caches = _lru_caches()
     # the walk sees the caches it should, so an empty result cannot pass
     for name in ("rootdata.positive_roots", "characters._two_rho_vee",
-                 "weights.DepthCode.__new__"):
+                 "weights.DepthCode.__new__", "oracle._simplex"):
         assert "hovm." + name in caches
     unbounded = [name for name, c in caches.items() if c.cache_info().maxsize is None]
     assert unbounded == []

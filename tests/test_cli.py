@@ -452,6 +452,30 @@ def test_broken_pipe_exits_quietly():
     assert err == ""
 
 
+def test_out_of_memory_exits_2_with_one_error():
+    # the CLI admits E8 weights at N = 30, which needs far more memory than a
+    # host has; the child caps its own address space at 300 MB, so the job
+    # runs out within a second and must end as a JSON error, not a traceback
+    pytest.importorskip("resource")
+    limit = 300 << 20
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+        "from hovm.cli import main\n"
+        "sys.exit(main(['weights']))\n" % (limit, limit)
+    )
+    payload = {"algebra": "E8", "lambda": [0] * 8, "holes": [[1]], "N": 30}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(payload), capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "error": "out of memory: the job needs more memory than this process may use"
+    }
+    assert "Traceback" not in proc.stderr
+
+
 FUZZ_ALGEBRAS = [
     "A1", "A1^2", "A1^3", "A2", "B2", AFFINE, [[2, -3], [-3, 2]],
 ]

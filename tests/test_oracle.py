@@ -193,6 +193,37 @@ def test_generated_oracle_matches_brute_force():
     _agrees(HighestWeight(g3, [1, "x", 0]), HoleSet({1, 3}, [{1}]), 0)
 
 
+def test_masks_match_brute_force_at_the_edges():
+    g1, g2, g3, g5 = (parse_gcm("A1^%d" % n) for n in (1, 2, 3, 5))
+    # a string longer than the cutoff (ev + 1 > N + 1) beside a top whose
+    # digit is at or near N: the box must not carry into the next digit
+    for N in (1, 2, 3, 6):
+        _agrees(HighestWeight(g2, [1, 20]), HoleSet({1, 2}, []), N)
+        _agrees(HighestWeight(g2, [20, 1]), HoleSet({1, 2}, [{1}]), N)
+        _agrees(HighestWeight(g3, [2, "x", 25]), HoleSet({1, 3}, [{1}]), N)
+        _agrees(HighestWeight(g3, [-2, 30, 0]), HoleSet({2, 3}, []), N)
+    # runs of set bits that cross a prefix boundary: the row under the zero
+    # prefix is full, so the next row's first code follows it
+    for lam in (HighestWeight(g2, ["x", "x"]), HighestWeight(g3, [-1, "x", 9])):
+        for N in (2, 3, 5):
+            _agrees(lam, HoleSet(integrability(lam), []), N)
+            ch = oracle_char(oracle_module(lam, HoleSet(integrability(lam), []), N))
+            assert list(ch.coeffs) == sorted(ch.coeffs)
+    # the cutoffs 0 and -1 (radix 1 and 0) at ranks 1, 2, 3 and 5, and rank 5
+    # at larger cutoffs
+    for g in (g1, g2, g3, g5):
+        for lam in (HighestWeight(g, [1] * g.n), HighestWeight(g, ["x"] + [0] * (g.n - 1))):
+            J = integrability(lam)
+            holes = HoleSet(J, [{max(J)}] if J else [])
+            for N in (-1, 0):
+                _agrees(lam, holes, N)
+                factors = oracle_jh(oracle_module(lam, holes, N))
+                assert factors == ([((0,) * g.n, 1)] if N == 0 else [])
+    _agrees(HighestWeight(g5, [1, "x", 0, 2, -1]), HoleSet({1, 3, 4}, [{1, 3}, {4}]), 7)
+    holes = HoleSet(set(range(1, 6)), [{1, 2}, {2, 3, 4}, {5}])
+    _agrees(HighestWeight(g5, [0, 1, 0, 1, 0]), holes, 6)
+
+
 def test_jh_refuses_a_box_outside_the_weights():
     # not a module M(lambda, H): the generator (1, 0) cuts the string of
     # length 3 above the top (0, 0), so its coefficient at (1, 0) would go
