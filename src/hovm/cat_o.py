@@ -7,13 +7,21 @@ Kazhdan-Lusztig bases use the complementary labelling w_K w_circ .
 lambda~ (longest element w_circ = w_{K*}), under which the simple index
 becomes upper-closed and the classical change-of-basis sums run over
 subsets.
+
+The block has 2^|K*| members; build_block refuses one of more than
+_BLOCK_CAP before any index is enumerated, since a reciprocity table holds
+the square of that count.
 """
 
 import itertools
 
-from .holes import h_prime
+from .holes import CapExceeded, h_prime
 from .weights import HighestWeight
 from .weightsets import HovmSpec
+
+# 2^9 admits A1^9 with K* = I: its reciprocity table of 2^18 entries takes
+# about 6 s and 0.7 GB; A1^10 would take four times both.
+_BLOCK_CAP = 2**9
 
 
 class Block:
@@ -66,6 +74,8 @@ def build_block(lam):
         for i in lam.gcm.nodes
         if isinstance(lam.evals[i - 1], int) and lam.evals[i - 1] != -1
     )
+    if 2 ** len(k_star) > _BLOCK_CAP:
+        raise CapExceeded(_BLOCK_CAP, 2 ** len(k_star))
     evals = list(lam.evals)
     for i in k_star:
         if evals[i - 1] < 0:
@@ -150,7 +160,9 @@ def kl_bases(bh):
 
     Indexed by the upper-closed kl_index (labels K <-> weight w_K w_circ .
     lambda~): T_K = sum of C_{K'} over K' <= K in the index, and inversely
-    with signs (-1)^{|K|-|K'|}.  Returns both matrices plus their product.
+    with signs (-1)^{|K|-|K'|}.  These are the zeta and Moebius matrices of
+    the index, mutually inverse by the binomial theorem; verify's kl suite
+    checks each against the oracle's characters.
     """
     index = sorted(bh.kl_index(), key=lambda s: (len(s), sorted(s)))
     t_in_c = {}
@@ -160,13 +172,7 @@ def kl_bases(bh):
         c_in_t[K] = {
             K2: (-1) ** (len(K) - len(K2)) if K2 <= K else 0 for K2 in index
         }
-    product = {}
-    for K in index:
-        for K2 in index:
-            product[(K, K2)] = sum(
-                c_in_t[K][L] * t_in_c[L][K2] for L in index
-            )
-    return {"index": index, "T_in_C": t_in_c, "C_in_T": c_in_t, "product": product}
+    return {"index": index, "T_in_C": t_in_c, "C_in_T": c_in_t}
 
 
 def kl_weight_of_index(bh, K):

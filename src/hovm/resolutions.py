@@ -65,44 +65,34 @@ class Resolution:
         }
 
 
-def _cwise_max(vectors, n):
-    out = [0] * n
-    for v in vectors:
-        for i in range(n):
-            out[i] = max(out[i], v[i])
-    return tuple(out)
-
-
 def _build(lam, hole_list):
-    """Shared constructor: levels lambda_H(union) and lcm-quotient factors."""
+    """Shared constructor: levels lambda_H(union) and lcm-quotient factors.
+
+    The lcm of the generators lambda_{H_i}, i in J, is the level weight of J,
+    lambda_H of the union of its holes; so the factor of the differential
+    J2 -> J is the difference of the two level weights.
+    """
     gcm = lam.gcm
     k = len(hole_list)
     if 2**k > _LEVEL_CAP:
         raise CapExceeded(_LEVEL_CAP, 2**k)
-    gens = [lambda_H(lam, H) for H in hole_list]
     idx = list(range(1, k + 1))
-
-    def lcm_exp(J):
-        return _cwise_max([gens[i - 1] for i in J], gcm.n)
-
     levels = {t: [] for t in range(k + 1)}
+    weight = {}
     for t in range(k + 1):
         for J in itertools.combinations(idx, t):
             J = frozenset(J)
             union = frozenset().union(*(hole_list[i - 1] for i in J)) if J else frozenset()
-            levels[t].append((J, lambda_H(lam, union)))
+            weight[J] = lambda_H(lam, union)
+            levels[t].append((J, weight[J]))
         levels[t].sort(key=lambda e: sorted(e[0]))
     diffs = {}
     for t in range(1, k + 1):
-        for J2, _ in levels[t]:
-            ordered = sorted(J2)
-            for pos, i in enumerate(ordered):
+        for J2, w2 in levels[t]:
+            for pos, i in enumerate(sorted(J2)):
                 J = J2 - {i}
-                sign = (-1) ** pos
-                factor = tuple(
-                    a - b for a, b in zip(lcm_exp(J2), lcm_exp(J))
-                )
-                diffs[(J2, J)] = (sign, factor)
+                factor = tuple(a - b for a, b in zip(w2, weight[J]))
+                diffs[(J2, J)] = ((-1) ** pos, factor)
     return Resolution(gcm, lam, tuple(hole_list), levels, diffs)
 
 
@@ -173,23 +163,13 @@ def sign_symmetry_check(lam, holeset):
     """Numerator-level sign symmetry in the Koszul setting: the dot action of
     w_K permutes the terms via J -> K symm-diff J and scales the numerator by
     (-1)^{|K|}."""
-    hs = _ordered_holes(holeset)
-    koszul_resolution(lam, holeset)  # validates orthogonality
-    k = len(hs)
-    idx = list(range(1, k + 1))
-    subsets = [
-        frozenset(S) for t in range(k + 1) for S in itertools.combinations(idx, t)
-    ]
-
-    def union_of(S):
-        return frozenset().union(*(hs[i - 1] for i in S)) if S else frozenset()
-
-    for K in subsets:
-        HK = union_of(K)
-        for J in subsets:
-            image = hole_dot(lam, lambda_H(lam, union_of(J)), HK)
+    res = koszul_resolution(lam, holeset)  # validates orthogonality
+    weight = {J: w for _, J, w in res.entries()}
+    for K in weight:
+        HK = frozenset().union(*(res.hole_list[i - 1] for i in K))
+        for J, w in weight.items():
             target = K ^ J
-            if image != lambda_H(lam, union_of(target)):
+            if hole_dot(lam, w, HK) != weight[target]:
                 return False
             # sign of the permuted term relative to the original
             if (-1) ** len(target) != (-1) ** len(K) * (-1) ** len(J):

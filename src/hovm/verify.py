@@ -191,6 +191,16 @@ def suite_reciprocity(seed, trials):
     return _report(trials)
 
 
+def _combination(row, chars):
+    """Sum of row[K] * chars[K] over the labels K, zero terms dropped."""
+    out = {}
+    for K, a in row.items():
+        if a:
+            for c, m in chars[K].items():
+                out[c] = out.get(c, 0) + a * m
+    return {c: m for c, m in out.items() if m}
+
+
 def suite_kl(seed, trials):
     from .cat_o import kl_bases, kl_weight_of_index
 
@@ -199,40 +209,30 @@ def suite_kl(seed, trials):
         bh = random_blockholes(rng)
         block = bh.block
         N = block.cutoff()
-        index = sorted(bh.kl_index(), key=lambda s: (len(s), sorted(s)))
-        bases = kl_bases(bh)
-        for K in index:
-            for K2 in index:
-                want = 1 if K == K2 else 0
-                if bases["product"][(K, K2)] != want:
-                    return _mismatch(
-                        block.lam, bh.holes, "kl_inversion", t,
-                        {"pair": [sorted(K), sorted(K2)]},
-                    )
-        # signed character identity: ch L(label K) equals the signed sum of
-        # the cover characters over K' <= K in the index, all in the oracle
         ks = block.k_star
-        for K in index:
-            mu = kl_weight_of_index(bh, K)
+        bases = kl_bases(bh)
+        # each label's simple and cover character, once, in block coordinates
+        simple, cover = {}, {}
+        for K in bases["index"]:
             base = block.member_depth(ks - K)
-            lhs = _absolute_coeffs(
+            mu = kl_weight_of_index(bh, K)
+            simple[K] = _absolute_coeffs(
                 oracle_simple_char(mu, N - sum(base)).coeffs, base, N
             )
-            rhs = {}
-            for K2 in index:
-                if not K2 <= K:
-                    continue
-                sign = (-1) ** (len(K) - len(K2))
-                mod, base2 = _cover_module(bh, ks - K2, N)
-                cover = _absolute_coeffs(oracle_char(mod).coeffs, base2, N)
-                for c, m in cover.items():
-                    rhs[c] = rhs.get(c, 0) + sign * m
-            rhs = {c: m for c, m in rhs.items() if m}
-            if lhs != rhs:
-                return _mismatch(
-                    block.lam, bh.holes, "kl_signed_characters", t,
-                    {"label": sorted(K)},
-                )
+            mod, base = _cover_module(bh, ks - K, N)
+            cover[K] = _absolute_coeffs(oracle_char(mod).coeffs, base, N)
+        # both printed matrices against the oracle: row K of C_in_T takes the
+        # cover characters to ch L(K), row K of T_in_C the simple characters
+        # to ch cover(K)
+        for K in bases["index"]:
+            for what, lhs, row, chars in (
+                ("kl_signed_characters", simple[K], bases["C_in_T"][K], cover),
+                ("kl_cover_characters", cover[K], bases["T_in_C"][K], simple),
+            ):
+                if lhs != _combination(row, chars):
+                    return _mismatch(
+                        block.lam, bh.holes, what, t, {"label": sorted(K)}
+                    )
     return _report(trials)
 
 

@@ -271,8 +271,9 @@ def test_criterion_8_truncated_kl():
     for bh in _all_blocks_n_le_3():
         bases = kl_bases(bh)
         index = bases["index"]
+        t_in_c, c_in_t = bases["T_in_C"], bases["C_in_T"]
         if not all(
-            bases["product"][(K, K2)] == (1 if K == K2 else 0)
+            sum(c_in_t[K][L] * t_in_c[L][K2] for L in index) == int(K == K2)
             for K in index
             for K2 in index
         ):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hovm import cat_o
 from hovm.cat_o import (
     Block,
     build_block,
@@ -12,7 +13,7 @@ from hovm.cat_o import (
     simples_in_block,
     universal_cover,
 )
-from hovm.holes import HoleSet
+from hovm.holes import CapExceeded, HoleSet
 from hovm.rootdata import parse_gcm
 from hovm.weights import HighestWeight, integrability
 
@@ -46,6 +47,25 @@ def test_build_block_nontrivial_conjugate():
     b = build_block(lam)
     assert b.k_star == {1, 2}
     assert b.lam_tilde.evals == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "lam, fits",
+    [
+        ([0, 0], True),  # 2^2 members: at the cap
+        ([0, -1, "x"], True),  # K* = {1}: the cap counts K*, not n
+        ([0, 0, 0], False),  # 2^3 members: past it
+    ],
+)
+def test_a_block_is_refused_past_its_cap(monkeypatch, lam, fits):
+    assert cat_o._BLOCK_CAP == 2**9
+    monkeypatch.setattr(cat_o, "_BLOCK_CAP", 4)
+    hw = HighestWeight(parse_gcm("A1^%d" % len(lam)), lam)
+    if fits:
+        assert len(build_block(hw).all_indices()) <= 4
+    else:
+        with pytest.raises(CapExceeded):
+            build_block(hw)
 
 
 def test_k_star_exclusions():
@@ -141,7 +161,10 @@ def test_kl_bases_v00():
     }
     for K in index:
         for K2 in index:
-            assert bases["product"][(K, K2)] == (1 if K == K2 else 0)
+            product = sum(
+                bases["C_in_T"][K][L] * bases["T_in_C"][L][K2] for L in index
+            )
+            assert product == (1 if K == K2 else 0)
 
 
 def test_kl_group_algebra_identity():

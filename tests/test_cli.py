@@ -103,6 +103,13 @@ def _never(*args, **kwargs):
         (["approx", "--k", "10", "--side", "lower"],
          {"algebra": "A1^22", "lambda": [0] * 22, "holes": [], "N": 1},
          "hovm.weightsets.weight_set"),
+        # 2^16 members of the block: 2^32 reciprocity table entries
+        (["reciprocity"],
+         {"algebra": "A1^16", "lambda": [0] * 16, "holes": [[1]]},
+         "hovm.cat_o.Block.all_indices"),
+        (["kl"],
+         {"algebra": "A1^16", "lambda": [0] * 16, "holes": [[1]]},
+         "hovm.cat_o.Block.all_indices"),
     ],
 )
 def test_enumeration_caps(capsys, tmp_path, monkeypatch, argv, payload, builder):
@@ -161,6 +168,19 @@ def _doubled(f):
     return lambda *args: f(*args) + f(*args)
 
 
+def _spoil_top_entry(matrix):
+    # one wrong entry in one printed matrix: the diagonal of its last label
+    def spoil(f):
+        def bases(bh):
+            out = f(bh)
+            if out["index"]:
+                top = out["index"][-1]
+                out[matrix][top][top] += 1
+            return out
+        return bases
+    return spoil
+
+
 @pytest.mark.parametrize(
     "suite,target,spoil,what",
     [
@@ -177,9 +197,10 @@ def _doubled(f):
          "reciprocity"),
         ("reciprocity", "hovm.verify.oracle_jh", lambda f: lambda mod: f(mod)[1:],
          "oracle_jh"),
-        ("kl", "hovm.cat_o.kl_bases",
-         lambda f: lambda bh: dict(f(bh), product=dict.fromkeys(f(bh)["product"], 0)),
-         "kl_inversion"),
+        ("kl", "hovm.cat_o.kl_bases", _spoil_top_entry("C_in_T"),
+         "kl_signed_characters"),
+        ("kl", "hovm.cat_o.kl_bases", _spoil_top_entry("T_in_C"),
+         "kl_cover_characters"),
         ("kl", "hovm.verify.oracle_simple_char", _doubled, "kl_signed_characters"),
     ],
 )
@@ -436,6 +457,19 @@ def test_tall_member_is_fast(algebra, lam, depth, member):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"member": member}
+
+
+def test_kl_of_a_large_block_is_fast():
+    # 2^9 labels: kl prints its two matrices without multiplying them
+    payload = {"algebra": "A1^9", "lambda": [0] * 9, "holes": []}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hovm.cli", "kl"],
+        input=json.dumps(payload), capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert len(data["index"]) == 2**9 and data["mutually_inverse"] is True
 
 
 def test_broken_pipe_exits_quietly():

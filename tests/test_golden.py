@@ -69,12 +69,38 @@ COMMANDS = [
     ["check"],
 ]
 
+# sl2^n blocks: the README's example, the perfbench A1^4 block and A1^3 kl
+# job, and a block whose "x" and -1 evaluations leave K* = {1, 4} < I.
+BLOCKS = {
+    "A1^2-block": {"algebra": "A1^2", "lambda": [0, 0], "holes": [[1, 2]]},
+    "A1^4-block": {
+        "algebra": "A1^4",
+        "lambda": [1, -3, 2, 0],
+        "holes": [[1, 2], [3, 4]],
+    },
+    "A1^3-block": {
+        "algebra": "A1^3",
+        "lambda": [0, -2, 1],
+        "holes": [[1, 2], [2, 3]],
+    },
+    "A1^4-partial-block": {
+        "algebra": "A1^4",
+        "lambda": [2, -1, "x", -3],
+        "holes": [[1, 4]],
+    },
+}
+
+BLOCK_COMMANDS = [["reciprocity"], ["kl"]]
+
 
 def jobs():
     """(id, argv, payload) for every job of the corpus, in a fixed order."""
     out = []
     for name, payload in INSTANCES.items():
         for argv in COMMANDS:
+            out.append(("%s %s" % (name, " ".join(argv)), argv, payload))
+    for name, payload in BLOCKS.items():
+        for argv in BLOCK_COMMANDS:
             out.append(("%s %s" % (name, " ".join(argv)), argv, payload))
     verify = ["verify", "--suite", "weights", "--seed", "3", "--trials", "5"]
     out.append((" ".join(verify), verify, None))
