@@ -8,6 +8,9 @@ lambda~ (longest element w_circ = w_{K*}), under which the simple index
 becomes upper-closed and the classical change-of-basis sums run over
 subsets.
 
+The tables print the paper's formulas and compare nothing that cannot
+fail; verify's reciprocity and kl suites check them against the oracle.
+
 The block has 2^|K*| members; build_block refuses one of more than
 _BLOCK_CAP before any index is enumerated, since a reciprocity table holds
 the square of that count.
@@ -19,8 +22,8 @@ from .holes import CapExceeded, h_prime
 from .weights import HighestWeight
 from .weightsets import HovmSpec
 
-# 2^9 admits A1^9 with K* = I: its reciprocity table of 2^18 entries takes
-# about 6 s and 0.7 GB; A1^10 would take four times both.
+# 2^9 admits A1^9 with K* = I: its reciprocity job, 2^18 entries and 69 MB
+# of output, takes about 4 s and 0.11 GB; A1^10 would take four times both.
 _BLOCK_CAP = 2**9
 
 
@@ -116,41 +119,39 @@ def universal_cover(bh, K):
     return HovmSpec(mu, h_prime(mu, bh.holes.min_holes))
 
 
-def jh_multiplicity(bh, K, K2):
-    """[M(w_K.lambda~, H'_{w_K.lambda~}) : L(w_{K2}.lambda~)], always 0 or 1."""
-    K, K2 = frozenset(K), frozenset(K2)
-    if K not in bh.simple_index:
-        return 0
-    return int(K2 >= K and K2 in bh.simple_index)
-
-
 def reciprocity_table(bh):
-    """Per-pair standard-filtration vs Jordan-Hoelder multiplicities.
+    """BGG reciprocity in O^H, entry by entry, in print order.
 
-    Entry (K, K2): the projective cover of L(w_K . lambda~) has standard
+    Entry (K, K2): the projective cover of L(w_K . lambda~) has a standard
     filtration with subquotients M(w_{K2} . lambda~, H'_{w_K . lambda~}),
-    one for each K2 <= K; the reciprocity partner is the multiplicity of
-    L(w_K . lambda~) inside the cover of index K2.
+    one for each K2 <= K (lhs); the reciprocity partner (rhs) is the
+    multiplicity of L(w_K . lambda~) in the cover of index K2, again 1
+    exactly when K2 <= K.  So both columns are the one predicate, and
+    "equal" states the theorem and is not computed; verify's reciprocity
+    suite checks both columns against the oracle.
+
+    Each entry carries its printed labels "K" and "K2".  Entries share
+    their label, hole and breakdown lists, so callers must not mutate them.
     """
-    table = {}
     index = sorted(bh.simple_index, key=lambda s: (len(s), sorted(s)))
+    labels = {K: sorted(K) for K in index}
+    table = {}
     for K in index:
         # J of w_K . lambda~ is K* \ K, which meets every hole: never zero
         holes_json = h_prime(bh.block.member(K), bh.holes.min_holes).to_json()
+        # the filtration has one subquotient per K2 <= K, all with the same
+        # hole set H'_{w_K . lambda~}
+        breakdowns = ([], [{"holes": holes_json, "mult": 1}])
         for K2 in index:
-            lhs = int(K2 <= K)
-            rhs = jh_multiplicity(bh, K2, K)
-            # the filtration of the projective cover has one subquotient per
-            # K2 <= K, all with the same hole set H'_{w_K . lambda~}
-            breakdown = (
-                [{"holes": holes_json, "mult": 1}] if K2 <= K else []
-            )
+            m = int(K2 <= K)
             table[(K, K2)] = {
-                "lhs": lhs,
-                "rhs": rhs,
-                "equal": lhs == rhs,
+                "K": labels[K],
+                "K2": labels[K2],
+                "lhs": m,
+                "rhs": m,
+                "equal": True,
                 "standard_holes": holes_json,
-                "breakdown": breakdown,
+                "breakdown": breakdowns[m],
             }
     return table
 

@@ -161,18 +161,16 @@ def wcf_terms(lam, holeset, setting):
 
 def sign_symmetry_check(lam, holeset):
     """Numerator-level sign symmetry in the Koszul setting: the dot action of
-    w_K permutes the terms via J -> K symm-diff J and scales the numerator by
-    (-1)^{|K|}."""
+    w_K permutes the terms via J -> K symm-diff J, checked here on the
+    weights, and scales the numerator by (-1)^{|K|}.  The sign of a permuted
+    term needs no check: (-1)^{|K ^ J|} = (-1)^{|K|} (-1)^{|J|} for all sets,
+    since |K ^ J| = |K| + |J| - 2|K & J|."""
     res = koszul_resolution(lam, holeset)  # validates orthogonality
     weight = {J: w for _, J, w in res.entries()}
     for K in weight:
         HK = frozenset().union(*(res.hole_list[i - 1] for i in K))
         for J, w in weight.items():
-            target = K ^ J
-            if hole_dot(lam, w, HK) != weight[target]:
-                return False
-            # sign of the permuted term relative to the original
-            if (-1) ** len(target) != (-1) ** len(K) * (-1) ** len(J):
+            if hole_dot(lam, w, HK) != weight[K ^ J]:
                 return False
     return True
 

@@ -6,7 +6,6 @@ from hovm import cat_o
 from hovm.cat_o import (
     Block,
     build_block,
-    jh_multiplicity,
     kl_bases,
     kl_weight_of_index,
     reciprocity_table,
@@ -106,15 +105,18 @@ def test_universal_covers_v00():
 
 def test_jh_multiplicities_v00():
     bh = bh_v00()
+    # rhs of (K, K2) is [cover(K2) : L(K)]; {1, 2} is not in the category
+    rhs = {(tuple(sorted(K)), tuple(sorted(K2))): v["rhs"]
+           for (K, K2), v in reciprocity_table(bh).items()}
     # the cover of the dominant member has length 3
-    assert jh_multiplicity(bh, set(), set()) == 1
-    assert jh_multiplicity(bh, set(), {1}) == 1
-    assert jh_multiplicity(bh, set(), {2}) == 1
-    assert jh_multiplicity(bh, set(), {1, 2}) == 0  # not in the category
+    assert rhs[(), ()] == 1
+    assert rhs[(1,), ()] == 1
+    assert rhs[(2,), ()] == 1
+    assert ((1, 2), ()) not in rhs
     # the covers of the singleton members are simple
-    assert jh_multiplicity(bh, {1}, {1}) == 1
-    assert jh_multiplicity(bh, {1}, {2}) == 0
-    assert jh_multiplicity(bh, {1}, {1, 2}) == 0
+    assert rhs[(1,), (1,)] == 1
+    assert rhs[(2,), (1,)] == 0
+    assert ((1, 2), (1,)) not in rhs
 
 
 def test_reciprocity_v00():
@@ -122,7 +124,8 @@ def test_reciprocity_v00():
     table = reciprocity_table(bh)
     assert len(table) == 9
     for (K, K2), entry in table.items():
-        assert entry["lhs"] == int(K2 <= K)
+        assert entry["lhs"] == entry["rhs"] == int(K2 <= K)
+        assert (entry["K"], entry["K2"]) == (sorted(K), sorted(K2))
         assert entry["equal"]
     # the short exact sequences of the two singleton projectives:
     # 0 -> M(lam, {1}) -> P(s2.lam) -> M(s2.lam, {1}) -> 0 and its mirror
